@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 from . import combinatorics, ensemble, kernel, stats
 from .core import (
@@ -79,12 +80,27 @@ def _csv_table(columns, rows, comments, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(path: str | None, payload) -> None:
+    _write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+
+
 def _emit_table(args, columns, rows, comments, meta) -> None:
     if args.format == "json":
-        payload = {"rows": [_jsonable(row) for row in rows], "meta": _jsonable(meta)}
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_json(args.out, {"rows": rows, "meta": meta})
     else:
         _write_text(args.out, _csv_table(columns, rows, comments, args.digits))
+
+
+def _emit_report(args, report: dict) -> None:
+    """One flat report: a JSON object, or key=value lines with None as NA."""
+    if args.format == "json":
+        _write_json(args.out, report)
+    else:
+        lines = [
+            f"{key}={'NA' if value is None else _fmt(value, args.digits)}"
+            for key, value in report.items()
+        ]
+        _write_text(args.out, "\n".join(lines) + "\n")
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -100,37 +116,27 @@ def _require_flag(args, names) -> None:
             raise ValidationError(f"--{name}", "required for this dimension")
 
 
-def cmd_multiplicity(args) -> int:
-    if args.dim == 1:
-        _require_flag(args, ("m", "j"))
-        count = combinatorics.multiplicity_1d(PathClass1D(args.m, args.j))
-    elif args.dim == 2:
-        _require_flag(args, ("m1", "j", "k"))
-        if args.m2 is not None:
-            count = combinatorics.multiplicity_2d_full(args.m1, args.m2, args.j, args.k)
-        else:
-            count = combinatorics.multiplicity_2d_rotated(
-                PathClassND(args.m1, args.j, args.k)
-            )
-    else:
-        _require_flag(args, ("m1", "j", "k", "l"))
-        count = combinatorics.multiplicity_3d(PathClassND(args.m1, args.j, args.k, args.l))
+# per dimension: the first-axis displacement flag, then the backward-step flags
+_CLASS_FLAGS = {1: ("m", "j"), 2: ("m1", "j", "k"), 3: ("m1", "j", "k", "l")}
 
-    entropy = args.kb * count.log_value
-    if args.format == "json":
-        payload = {
-            "count": count.exact,
-            "log_count": count.log_value,
-            "entropy": entropy,
-        }
-        _write_text(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
-    else:
-        lines = [
-            f"count={count.exact if count.exact is not None else 'NA'}",
-            f"log_count={_fmt(count.log_value, args.digits)}",
-            f"entropy={_fmt(entropy, args.digits)}",
-        ]
-        _write_text(args.out, "\n".join(lines) + "\n")
+
+def cmd_multiplicity(args) -> int:
+    flags = _CLASS_FLAGS[args.dim]
+    _require_flag(args, flags)
+    m, *backward = (getattr(args, name) for name in flags)
+    if m < 1:
+        raise ValidationError(flags[0], f"net displacement must be >= 1, got {m}")
+    # --m2 is the second-axis displacement of a 2D class; other axes net zero
+    net = [m] + [0] * (args.dim - 1)
+    if args.dim == 2 and args.m2 is not None:
+        net[1] = args.m2
+    count = combinatorics.multiplicity(net, backward)
+    report = {
+        "count": count.exact,
+        "log_count": count.log_value,
+        "entropy": args.kb * count.log_value,
+    }
+    _emit_report(args, report)
     return 0
 
 
@@ -182,26 +188,6 @@ def cmd_probs(args) -> int:
     return 0
 
 
-def _closed_form_count(dimension: int, net, key):
-    """Closed-form count for one backward-step class, or None when no form applies."""
-    if dimension == 1:
-        m = net[0]
-        return combinatorics.multiplicity_1d(PathClass1D(m, key[0])).exact if m >= 1 else None
-    if dimension == 2:
-        m1, m2 = net
-        j, k = key
-        if m1 >= 1:
-            if m2 == 0:
-                return combinatorics.multiplicity_2d_rotated(PathClassND(m1, j, k)).exact
-            return combinatorics.multiplicity_2d_full(m1, m2, j, k).exact
-        return None
-    m1, m2, m3 = net
-    if m1 >= 1 and m2 == 0 and m3 == 0:
-        j, k, l = key
-        return combinatorics.multiplicity_3d(PathClassND(m1, j, k, l)).exact
-    return None
-
-
 def cmd_paths(args) -> int:
     net = tuple(_parse_int_list(args.net, "--net"))
     counts = combinatorics.count_paths_by_flips(args.dim, net, args.total)
@@ -216,8 +202,8 @@ def cmd_paths(args) -> int:
         )
         return 1
     for key, count in counts.items():
-        closed = _closed_form_count(args.dim, net, key)
-        if closed is not None and closed != count:
+        closed = combinatorics.multiplicity(net, key).exact
+        if closed != count:
             print(
                 f"error: internal count mismatch for class {key}:"
                 f" closed form {closed}, counted {count}",
@@ -248,7 +234,7 @@ def cmd_paths(args) -> int:
             "classes": {class_label(key): counts[key] for key in shown_keys if key in counts},
             "sequences": [seq.to_text() for seq in sequences],
         }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_json(args.out, payload)
     else:
         lines = [f"count={len(sequences)}"]
         for key in shown_keys:
@@ -288,12 +274,7 @@ def cmd_ensemble(args) -> int:
                 "entropy_cosh_form is non-positive; it differs from entropy by"
                 " kB*n_spins*ln(2) and is reported for comparison only"
             )
-
-    if args.format == "json":
-        _write_text(args.out, json.dumps(_jsonable(report), indent=2) + "\n")
-    else:
-        lines = [f"{key}={_fmt(value, args.digits)}" for key, value in report.items()]
-        _write_text(args.out, "\n".join(lines) + "\n")
+    _emit_report(args, report)
     return 0
 
 
@@ -316,23 +297,15 @@ def cmd_prob2d(args) -> int:
     if args.reference_pct is not None:
         report["reference_percent"] = args.reference_pct
         report["ratio_vs_reference"] = (100.0 * prob) / args.reference_pct
-
-    if args.format == "json":
-        _write_text(args.out, json.dumps(_jsonable(report), indent=2) + "\n")
-    else:
-        lines = [f"{key}={_fmt(value, args.digits)}" for key, value in report.items()]
-        _write_text(args.out, "\n".join(lines) + "\n")
+    _emit_report(args, report)
     return 0
 
 
-class _Check:
-    __slots__ = ("name", "passed", "measured", "tolerance")
-
-    def __init__(self, name: str, passed: bool, measured: float, tolerance: float):
-        self.name = name
-        self.passed = bool(passed)
-        self.measured = measured
-        self.tolerance = tolerance
+class _Check(NamedTuple):
+    name: str
+    passed: bool
+    measured: float
+    tolerance: float
 
 
 def _checks_core() -> list[_Check]:
@@ -607,7 +580,7 @@ def cmd_validate(args) -> int:
                 for scope, check in checks
             ],
         }
-        _write_text(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
+        _write_json(args.out, payload)
     else:
         lines = []
         for scope, check in checks:

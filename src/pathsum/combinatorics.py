@@ -46,6 +46,28 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> BigCount:
     return BigCount.from_log(log_value)
 
 
+def multiplicity(net, backward) -> BigCount:
+    """Walks in any number of dimensions, by class: N! / prod_a (net_a+b_a)! b_a!.
+
+    Axis a takes net[a] + backward[a] forward and backward[a] backward steps;
+    N is the total. Components of both tuples are integers >= 0. Every
+    per-dimension count below is one case of this formula.
+    """
+    net, backward = tuple(net), tuple(backward)
+    if not net:
+        raise ValidationError("net", "needs at least one component")
+    if len(backward) != len(net):
+        raise ValidationError("backward", f"needs {len(net)} components, got {len(backward)}")
+    parts = []
+    for m, b in zip(net, backward):
+        for name, value in (("net", m), ("backward", b)):
+            _require_int(name, value)
+            if value < 0:
+                raise ValidationError(name, f"components must be >= 0, got {value}")
+        parts += (m + b, b)
+    return _multinomial(sum(parts), tuple(parts))
+
+
 def multiplicity_1d(cls: PathClass1D) -> BigCount:
     """Number of 1D walks with net displacement m out of N = m + 2j steps.
 

@@ -66,7 +66,7 @@ def _require_int(name: str, value) -> int:
 
 
 def _require_positive(name: str, value: float) -> float:
-    if not (value > 0) or math.isinf(value) or math.isnan(value):
+    if not 0 < value < math.inf:  # also false for NaN
         raise ValidationError(name, f"must be finite and > 0, got {value!r}")
     return value
 
@@ -231,16 +231,12 @@ class BigCount:
         _require_int("exact", n)
         if n < 1:
             raise ValidationError("exact", f"count must be >= 1, got {n}")
-        return cls(log_value=_log_int(n), exact=n)
+        # math.log accepts arbitrary-size ints directly
+        return cls(log_value=math.log(n), exact=n)
 
     @classmethod
     def from_log(cls, log_value: float) -> "BigCount":
         return cls(log_value=log_value, exact=None)
-
-
-def _log_int(n: int) -> float:
-    # math.log accepts arbitrary-size ints directly
-    return math.log(n)
 
 
 @dataclass(frozen=True)

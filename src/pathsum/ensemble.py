@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MomentTriple, PathClass1D, PathClassND, ValidationError, _require_int
-
-
-def _check_energy(name: str, value: float) -> None:
-    if not (value > 0) or math.isinf(value) or math.isnan(value):
-        raise ValidationError(name, f"must be finite and > 0, got {value!r}")
+from .core import (
+    MomentTriple,
+    PathClass1D,
+    PathClassND,
+    ValidationError,
+    _require_int,
+    _require_positive,
+)
 
 
 def beta_for_path(m: int, j: int, E: float) -> float:
@@ -32,7 +34,7 @@ def beta_for_path(m: int, j: int, E: float) -> float:
     ordered, zero-entropy case).
     """
     cls = PathClass1D(m, j)  # reuse the domain validation
-    _check_energy("E", E)
+    _require_positive("E", E)
     if j == 0:
         return math.inf
     return math.log(cls.n_up / cls.n_down) / (2.0 * E)
@@ -40,7 +42,7 @@ def beta_for_path(m: int, j: int, E: float) -> float:
 
 def partition_1d(beta: float, E: float) -> float:
     """Single-spin partition function 2 cosh(beta E)."""
-    _check_energy("E", E)
+    _require_positive("E", E)
     if math.isnan(beta):
         raise ValidationError("beta", "must not be NaN")
     return 2.0 * math.cosh(beta * E)
@@ -155,7 +157,7 @@ class SpinEnsemble2D:
     def from_path_class(cls, path: PathClassND, E1: float, E2: float) -> "SpinEnsemble2D":
         if path.dimension != 2:
             raise ValidationError("l", "2D ensemble requires a 2D class (l is None)")
-        _check_energy("E2", E2)
+        _require_positive("E2", E2)
         return cls(
             m1=path.m1,
             j=path.j,

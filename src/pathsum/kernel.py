@@ -24,14 +24,15 @@ from .core import (
     SumResult,
     ValidationError,
     _require_int,
+    _require_positive,
     max_series_terms,
 )
 
 
 def _gauss_term(b: float, n: int) -> float:
-    # Shared by series terms and scan limit values. The j = 0 term and the
-    # limit must be bit-identical floats (ratio >= 1 is promised exactly),
-    # and -b*(n*n) and (-b*n)*n round differently.
+    # The scan limit value. It must equal the series' j = 0 term bit for bit
+    # (ratio >= 1 is promised exactly), so both group the exponent as
+    # -b*(n*n); (-b*n)*n rounds differently.
     return math.exp(-b * (n * n))
 
 
@@ -70,6 +71,45 @@ def _check_sum_args(b: float, m: int, m_name: str, tol: float) -> None:
         raise ValidationError("tol", f"must be > 0, got {tol!r}")
 
 
+def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int = 0) -> SumResult:
+    """Sum of w(n) exp(-b ((m+2n)^2 - shift)) over n >= 0, w = n+1 if weighted else 1.
+
+    Terms are added until the geometric tail majorant nxt/(1-r), with
+    r = nxt/term, drops to tol times the partial sum. The linear weight
+    lets early terms grow when b is small, so the stop is tried only once
+    r < 1; from there the ratio decreases monotonically and the majorant
+    is valid.
+    """
+    cap = max_series_terms()
+    acc = _Neumaier()
+    n = 0
+    term = math.exp(-b * (m * m - shift))  # the weight is 1 at n = 0
+    while True:
+        acc.add(term)
+        terms_used = n + 1
+        nxt_m = m + 2 * terms_used
+        nxt = math.exp(-b * (nxt_m * nxt_m - shift))
+        if weighted:
+            nxt *= n + 2
+        value = acc.value()
+        if term > 0.0:
+            ratio = nxt / term
+            if ratio < 1.0:
+                bound = nxt / (1.0 - ratio)
+                if bound <= tol * value:
+                    return SumResult(value=value, terms_used=terms_used, truncation_bound=bound)
+        else:
+            # fully underflowed tail
+            return SumResult(value=value, terms_used=terms_used, truncation_bound=0.0)
+        if terms_used >= cap:
+            name, m_name = ("kernel_sum_2d", "m1") if weighted else ("kernel_sum_1d", "m")
+            raise SeriesCapError(
+                f"{name}(b={b}, {m_name}={m}) hit the {cap}-term cap at tol={tol}"
+            )
+        n += 1
+        term = nxt
+
+
 def kernel_sum_1d(b: float, m: int, tol: float = 1e-12) -> SumResult:
     """Sum of exp(-b (m+2j)^2) over j >= 0, truncated with a certified bound.
 
@@ -78,63 +118,17 @@ def kernel_sum_1d(b: float, m: int, tol: float = 1e-12) -> SumResult:
     that majorant drops to tol times the partial sum.
     """
     _check_sum_args(b, m, "m", tol)
-    cap = max_series_terms()
-    acc = _Neumaier()
-    j = 0
-    term = _gauss_term(b, m)
-    while True:
-        acc.add(term)
-        terms_used = j + 1
-        nxt = _gauss_term(b, m + 2 * (j + 1))
-        ratio = nxt / term if term > 0 else 0.0
-        bound = nxt / (1.0 - ratio) if ratio < 1.0 else math.inf
-        value = acc.value()
-        if bound <= tol * value:
-            return SumResult(value=value, terms_used=terms_used, truncation_bound=bound)
-        if terms_used >= cap:
-            raise SeriesCapError(
-                f"kernel_sum_1d(b={b}, m={m}) hit the {cap}-term cap at tol={tol}"
-            )
-        j += 1
-        term = nxt
+    return _gauss_series(b, m, tol, False)
 
 
 def kernel_sum_2d(b: float, m1: int, tol: float = 1e-12) -> SumResult:
     """Sum of exp(-b (m1+2j+2k)^2) over j, k >= 0, via exact reindexing.
 
     Collecting the (j, k) pairs with j + k = n gives the single series
-    sum_n (n+1) exp(-b (m1+2n)^2). The linear weight lets early terms grow
-    when b is small, so the geometric stop is applied only once the term
-    ratio falls below 1; from there it decreases monotonically and the
-    tail majorant is valid.
+    sum_n (n+1) exp(-b (m1+2n)^2), summed with the same certified stop.
     """
     _check_sum_args(b, m1, "m1", tol)
-    cap = max_series_terms()
-    acc = _Neumaier()
-    n = 0
-    term = _gauss_term(b, m1)  # (n+1) weight is 1 at n = 0
-    while True:
-        acc.add(term)
-        terms_used = n + 1
-        nxt = (n + 2) * _gauss_term(b, m1 + 2 * (n + 1))
-        value = acc.value()
-        if term > 0.0:
-            ratio = nxt / term
-            if ratio < 1.0:
-                bound = nxt / (1.0 - ratio)
-                if bound <= tol * value:
-                    return SumResult(
-                        value=value, terms_used=terms_used, truncation_bound=bound
-                    )
-        else:
-            # fully underflowed tail
-            return SumResult(value=value, terms_used=terms_used, truncation_bound=0.0)
-        if terms_used >= cap:
-            raise SeriesCapError(
-                f"kernel_sum_2d(b={b}, m1={m1}) hit the {cap}-term cap at tol={tol}"
-            )
-        n += 1
-        term = nxt
+    return _gauss_series(b, m1, tol, True)
 
 
 @dataclass(frozen=True)
@@ -172,9 +166,8 @@ def threshold_scan(
         _require_int("m_values", m)
         if m < 1:
             raise ValidationError("m_values", f"entries must be >= 1, got {m}")
-    for name, val in (("b_min", b_min), ("b_max", b_max)):
-        if not (val > 0) or math.isinf(val) or math.isnan(val):
-            raise ValidationError(name, f"must be finite and > 0, got {val!r}")
+    _require_positive("b_min", b_min)
+    _require_positive("b_max", b_max)
     if not b_min < b_max:
         raise ValidationError("b_max", f"need b_min < b_max, got {b_min} >= {b_max}")
     _require_int("n_points", n_points)
@@ -213,8 +206,7 @@ def action_1d(params: PhysicalParams, cls: PathClass1D) -> float:
 
 def propagator_closed(params: PhysicalParams, x: float, t: float) -> float:
     """Normalized diffusion kernel with diffusivity hbar/(2M)."""
-    if not (t > 0) or math.isinf(t) or math.isnan(t):
-        raise ValidationError("t", f"must be finite and > 0, got {t!r}")
+    _require_positive("t", t)
     if math.isnan(x) or math.isinf(x):
         raise ValidationError("x", f"must be finite, got {x!r}")
     variance = params.hbar * t / params.M
@@ -226,8 +218,7 @@ def heat_residual(params: PhysicalParams, x: float, t: float, h: float) -> float
 
     O(h^2) accurate; halving h should shrink it about fourfold.
     """
-    if not (h > 0) or math.isinf(h) or math.isnan(h):
-        raise ValidationError("h", f"must be finite and > 0, got {h!r}")
+    _require_positive("h", h)
     if not t > 2 * h:
         raise ValidationError("t", f"need t > 2h for the time stencil, got t={t}, h={h}")
     diffusivity = params.hbar / (2.0 * params.M)
