@@ -6,7 +6,8 @@ CSV with '#' metadata comments or JSON with one object per row; files
 are written atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 success, 1 validation-suite failure or internal
-inconsistency, 2 bad arguments, 3 resource cap exceeded.
+inconsistency, 2 bad arguments or unwritable output, 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -110,19 +111,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValidationError(flag, f"expected comma-separated integers, got {text!r}") from None
 
 
-def _require_flag(args, names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValidationError(f"--{name}", "required for this dimension")
-
-
 # per dimension: the first-axis displacement flag, then the backward-step flags
 _CLASS_FLAGS = {1: ("m", "j"), 2: ("m1", "j", "k"), 3: ("m1", "j", "k", "l")}
 
 
 def cmd_multiplicity(args) -> int:
     flags = _CLASS_FLAGS[args.dim]
-    _require_flag(args, flags)
+    missing = [name for name in flags if getattr(args, name) is None]
+    if missing:
+        raise ValidationError(f"--{missing[0]}", "required for this dimension")
     m, *backward = (getattr(args, name) for name in flags)
     if m < 1:
         raise ValidationError(flags[0], f"net displacement must be >= 1, got {m}")
@@ -601,13 +598,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_common(parser, default_format: str = "csv", formats=("csv", "json")) -> None:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument(
         "--format", choices=formats, default=default_format, help="output format"
     )
     parser.add_argument(
-        "--digits", type=int, default=15,
+        "--digits", type=_digits, default=15,
         help="printed float precision; 17 or more round-trips exactly",
     )
 
@@ -695,6 +702,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: resource cap exceeded ({exc})", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

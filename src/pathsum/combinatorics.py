@@ -54,10 +54,8 @@ def multiplicity(net, backward) -> BigCount:
     per-dimension count below is one case of this formula.
     """
     net, backward = tuple(net), tuple(backward)
-    if not net:
-        raise ValidationError("net", "needs at least one component")
-    if len(backward) != len(net):
-        raise ValidationError("backward", f"needs {len(net)} components, got {len(backward)}")
+    if not net or len(backward) != len(net):
+        raise ValidationError("net", f"need one backward count per axis, got {net}, {backward}")
     parts = []
     for m, b in zip(net, backward):
         for name, value in (("net", m), ("backward", b)):

@@ -14,6 +14,7 @@ the continuum cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -31,8 +32,8 @@ from .core import (
 
 def _gauss_term(b: float, n: int) -> float:
     # The scan limit value. It must equal the series' j = 0 term bit for bit
-    # (ratio >= 1 is promised exactly), so both group the exponent as
-    # -b*(n*n); (-b*n)*n rounds differently.
+    # (ratio >= 1 is promised exactly), so both multiply -b by the exact
+    # integer n*n; (-b*n)*n rounds differently.
     return math.exp(-b * (n * n))
 
 
@@ -67,18 +68,17 @@ def _check_sum_args(b: float, m: int, m_name: str, tol: float) -> None:
     _require_int(m_name, m)
     if m < 1:
         raise ValidationError(m_name, f"must be >= 1, got {m}")
-    if not (tol > 0) or math.isnan(tol):
-        raise ValidationError("tol", f"must be > 0, got {tol!r}")
+    _require_positive("tol", tol)
 
 
-def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int = 0) -> SumResult:
+def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int) -> SumResult:
     """Sum of w(n) exp(-b ((m+2n)^2 - shift)) over n >= 0, w = n+1 if weighted else 1.
 
-    Terms are added until the geometric tail majorant nxt/(1-r), with
-    r = nxt/term, drops to tol times the partial sum. The linear weight
-    lets early terms grow when b is small, so the stop is tried only once
-    r < 1; from there the ratio decreases monotonically and the majorant
-    is valid.
+    shift = m*m sums the ratio to the leading term. Terms are added until
+    the geometric tail majorant nxt/(1-r), r = nxt/term, drops to tol times
+    the partial sum. The linear weight lets early terms grow when b is
+    small, so the stop is tried only once r < 1; from there the ratio
+    decreases monotonically and the majorant is valid.
     """
     cap = max_series_terms()
     acc = _Neumaier()
@@ -113,12 +113,11 @@ def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int = 0) 
 def kernel_sum_1d(b: float, m: int, tol: float = 1e-12) -> SumResult:
     """Sum of exp(-b (m+2j)^2) over j >= 0, truncated with a certified bound.
 
-    Terms fall strictly geometrically, so once the next term t' and ratio
-    r = t'/t are known, the tail is at most t'/(1-r). Summation stops when
-    that majorant drops to tol times the partial sum.
+    Summation stops once the geometric tail majorant drops to tol times the
+    partial sum; truncation_bound is that majorant.
     """
     _check_sum_args(b, m, "m", tol)
-    return _gauss_series(b, m, tol, False)
+    return _gauss_series(b, m, tol, False, 0)
 
 
 def kernel_sum_2d(b: float, m1: int, tol: float = 1e-12) -> SumResult:
@@ -128,7 +127,7 @@ def kernel_sum_2d(b: float, m1: int, tol: float = 1e-12) -> SumResult:
     sum_n (n+1) exp(-b (m1+2n)^2), summed with the same certified stop.
     """
     _check_sum_args(b, m1, "m1", tol)
-    return _gauss_series(b, m1, tol, True)
+    return _gauss_series(b, m1, tol, True, 0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def threshold_scan(
     """Evaluate sum/limit ratios on a uniform b grid for each m.
 
     ratio >= 1.0 holds exactly for every row, and for fixed m it is
-    non-increasing in b; rows are ordered by m, then ascending b.
+    non-increasing in b; rows are ordered by m, then ascending b. The grid
+    starts at b_min and ends at b_max exactly.
     """
     m_list = list(m_values)
     if not m_list:
@@ -174,21 +174,28 @@ def threshold_scan(
     if n_points < 2:
         raise ValidationError("n_points", f"must be >= 2, got {n_points}")
 
-    rows = []
     last = n_points - 1
+    # the blend can round an endpoint off by an ulp, so both are taken as given
+    interior = ((b_min * (last - i) + b_max * i) / last for i in range(1, last))
+    grid = [b_min, *interior, b_max]
+    rows = []
     for m in m_list:
-        for i in range(n_points):
-            # convex blend keeps both endpoints exact in floating point
-            b = (b_min * (last - i) + b_max * i) / last
+        for b in grid:
             res = kernel_sum_1d(b, m, tol)
             limit = _gauss_term(b, m)
+            if limit >= sys.float_info.min:
+                ratio = res.value / limit
+            else:
+                # sum/limit would be imprecise or 0/0: sum the ratio's own
+                # series, whose j = 0 term exp(-b*0) is exactly 1
+                ratio = _gauss_series(b, m, tol, False, m * m).value
             rows.append(
                 KernelScanRow(
                     m=m,
                     b=b,
                     sum_value=res.value,
                     limit_value=limit,
-                    ratio=res.value / limit,
+                    ratio=ratio,
                     terms_used=res.terms_used,
                 )
             )
@@ -245,8 +252,7 @@ def propagator_normalization(
     _require_int("panels", panels)
     if panels < 2 or panels % 2 != 0:
         raise ValidationError("panels", f"must be an even integer >= 2, got {panels}")
-    if not (half_width_sigmas > 0):
-        raise ValidationError("half_width_sigmas", f"must be > 0, got {half_width_sigmas!r}")
+    _require_positive("half_width_sigmas", half_width_sigmas)
     sigma = math.sqrt(params.hbar * t / params.M)
     half = half_width_sigmas * sigma
     step = 2.0 * half / panels

@@ -25,6 +25,7 @@ from .core import (
     SeriesCapError,
     ValidationError,
     _require_int,
+    _require_positive,
     max_series_terms,
 )
 from .combinatorics import multiplicity_1d, multiplicity_2d_rotated
@@ -86,8 +87,7 @@ def probability_1d(m: int, j_max: int | None = None, tol: float = 1e-12) -> Prob
         _require_int("j_max", j_max)
         if j_max < 0:
             raise ValidationError("j_max", f"must be >= 0, got {j_max}")
-    if not (tol > 0) or math.isnan(tol):
-        raise ValidationError("tol", f"must be > 0, got {tol!r}")
+    _require_positive("tol", tol)
 
     cap = max_series_terms()
     weights: list[Fraction] = []
@@ -157,8 +157,7 @@ def probability_2d(
     _require_int("min_diagonal", min_diagonal)
     if min_diagonal < 0:
         raise ValidationError("min_diagonal", f"must be >= 0, got {min_diagonal}")
-    if not (tol > 0) or math.isnan(tol):
-        raise ValidationError("tol", f"must be > 0, got {tol!r}")
+    _require_positive("tol", tol)
 
     cap = max_series_terms()
     indexed: list[tuple[tuple[int, int], Fraction]] = []

@@ -92,6 +92,15 @@ class TestScan:
         assert code == 2
         assert "b_min" in err
 
+    @pytest.mark.parametrize("m_list,b_min,b_max", [("40", "0.5", "0.6"), ("1", "700", "800")])
+    def test_underflowed_limit_exits_0(self, capsys, m_list, b_min, b_max):
+        code, out, _ = run_cli(
+            capsys, ["scan", "--m-list", m_list, "--b-min", b_min, "--b-max", b_max,
+                     "--points", "2", "--format", "json"]
+        )
+        assert code == 0
+        assert [row["ratio"] for row in json.loads(out)["rows"]] == [1.0, 1.0]
+
     def test_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHSUM_MAX_TERMS", "5")
         code, _, err = run_cli(
@@ -130,6 +139,12 @@ class TestProbs:
         ms = {row["m"] for row in payload["rows"]}
         assert ms == {2, 5}
 
+    def test_non_finite_tol_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["probs", "--m-list", "2", "--tol", "inf"])
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
 
 class TestPaths:
     def test_text_listing(self, capsys):
@@ -163,6 +178,24 @@ class TestPaths:
         )
         assert code == 3
         assert "cap" in err.lower()
+
+    @pytest.mark.parametrize("dim,net,total", [
+        ("1", "0", "4"), ("2", "0,1", "3"), ("2", "0,0", "4"),
+        ("3", "0,0,1", "3"), ("3", "2,1,1", "6"), ("3", "0,2,0", "4"),
+    ])
+    def test_cross_checks_classes_without_a_per_dimension_form(self, capsys, dim, net, total):
+        code, out, _ = run_cli(capsys, ["paths", "--dim", dim, "--net", net, "--total", total])
+        assert code == 0
+        assert out.startswith("count=")
+
+    def test_count_mismatch_exits_1(self, capsys, monkeypatch):
+        from pathsum import BigCount, combinatorics
+
+        monkeypatch.setattr(combinatorics, "multiplicity", lambda net, key: BigCount.from_exact(7))
+        code, out, err = run_cli(capsys, ["paths", "--dim", "2", "--net", "0,1", "--total", "3"])
+        assert code == 1
+        assert out == ""
+        assert "mismatch" in err
 
     def test_infeasible_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -278,6 +311,23 @@ class TestOutputHandling:
         # no temp droppings left behind
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # a missing directory fails at the temp file, a directory target at the rename
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "taken"):
+            code, out, err = run_cli(capsys, ["probs", "--m-list", "2", "--out", str(target)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: cannot write output (")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    def test_negative_digits_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["probs", "--m-list", "2", "--digits", "-1"])
+        assert stop.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
     def test_digits_controls_precision(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -300,6 +350,20 @@ class TestOutputHandling:
         # printed text parses back to the identical float
         assert float(report["entropy"]) == ensemble_entropy_large_n(ens, 1.0)
         assert float(report["beta"]) == ens.beta
+
+
+def test_unwritable_out_has_no_traceback_in_a_fresh_process(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "pathsum", "probs", "--m-list", "2",
+         "--out", str(tmp_path / "missing" / "x.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ},
+    )
+    assert result.returncode == 2
+    assert "cannot write output" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -15,6 +16,7 @@ from pathsum import (
     entropy_rate,
     enumerate_paths,
     minimum_distance_count,
+    multiplicity,
     multiplicity_1d,
     multiplicity_2d_full,
     multiplicity_2d_rotated,
@@ -135,6 +137,47 @@ class TestMultiplicity2DAnd3D:
             multiplicity_3d(PathClassND(1, 0, 0))
         with pytest.raises(ValidationError):
             multiplicity_2d_full(0, 1, 0, 0)
+
+
+class TestGeneralMultiplicity:
+    def test_matches_flip_counter_on_every_class(self):
+        # every net with components 0..2 in 1-3D, up to two spare round trips;
+        # this includes zero first-axis and transverse displacements
+        classes = 0
+        for dim in (1, 2, 3):
+            for net in itertools.product(range(3), repeat=dim):
+                for spare in range(3 if dim < 3 else 2):
+                    total = sum(net) + 2 * spare
+                    for key, count in count_paths_by_flips(dim, net, total).items():
+                        assert multiplicity(net, key).exact == count, (net, key)
+                        classes += 1
+        # classes per net: 1D 1+1+1, 2D 1+2+3, 3D 1+3
+        assert classes == 3 * 3 + 9 * 6 + 27 * 4
+
+    @pytest.mark.parametrize("m1,m2,j,k,l", [
+        (1, 0, 0, 0, 0), (3, 2, 1, 4, 2), (7, 5, 3, 0, 1), (900, 300, 400, 300, 200),
+    ])
+    def test_matches_per_dimension_forms(self, m1, m2, j, k, l):
+        # the last row is past the exact cutoff, so log values must agree too
+        assert multiplicity((m1,), (j,)) == multiplicity_1d(PathClass1D(m1, j))
+        assert multiplicity((m1, m2), (j, k)) == multiplicity_2d_full(m1, m2, j, k)
+        assert multiplicity((m1, 0), (j, k)) == multiplicity_2d_rotated(PathClassND(m1, j, k))
+        assert multiplicity((m1, 0, 0), (j, k, l)) == multiplicity_3d(
+            PathClassND(m1, j, k, l)
+        )
+        assert multiplicity((m1, m2), (0, 0)) == minimum_distance_count(m1, m2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValidationError, match="net"):
+            multiplicity((), ())
+        with pytest.raises(ValidationError, match="net"):
+            multiplicity((1, 0), (0,))
+        with pytest.raises(ValidationError, match="net"):
+            multiplicity((1, -1), (0, 0))
+        with pytest.raises(ValidationError, match="backward"):
+            multiplicity((1,), (-1,))
+        with pytest.raises(ValidationError, match="net"):
+            multiplicity((1.5,), (0,))
 
 
 class TestEntropies:

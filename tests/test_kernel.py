@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,8 @@ from pathsum import (
     propagator_normalization,
     threshold_scan,
 )
+from pathsum.core import SumResult, max_series_terms
+from pathsum.kernel import _Neumaier
 
 
 def oracle_sum_1d(b, m, dps=50):
@@ -49,6 +52,78 @@ def oracle_sum_2d(b, m1, dps=50):
 
 
 NATURAL = PhysicalParams(M=1.0, dx=1.0, dt=1.0, hbar=1.0)
+
+
+# The two loops kernel_sum_1d and kernel_sum_2d ran before they shared one,
+# kept as the reference that the shared loop must match bit for bit.
+def reference_sum_1d(b, m, tol=1e-12):
+    cap = max_series_terms()
+    acc = _Neumaier()
+    j = 0
+    term = math.exp(-b * (m * m))
+    while True:
+        acc.add(term)
+        terms_used = j + 1
+        nxt = math.exp(-b * ((m + 2 * (j + 1)) * (m + 2 * (j + 1))))
+        ratio = nxt / term if term > 0 else 0.0
+        bound = nxt / (1.0 - ratio) if ratio < 1.0 else math.inf
+        value = acc.value()
+        if bound <= tol * value:
+            return SumResult(value=value, terms_used=terms_used, truncation_bound=bound)
+        if terms_used >= cap:
+            raise SeriesCapError(
+                f"kernel_sum_1d(b={b}, m={m}) hit the {cap}-term cap at tol={tol}"
+            )
+        j += 1
+        term = nxt
+
+
+def reference_sum_2d(b, m1, tol=1e-12):
+    cap = max_series_terms()
+    acc = _Neumaier()
+    n = 0
+    term = math.exp(-b * (m1 * m1))
+    while True:
+        acc.add(term)
+        terms_used = n + 1
+        nxt = (n + 2) * math.exp(-b * ((m1 + 2 * (n + 1)) * (m1 + 2 * (n + 1))))
+        value = acc.value()
+        if term > 0.0:
+            ratio = nxt / term
+            if ratio < 1.0:
+                bound = nxt / (1.0 - ratio)
+                if bound <= tol * value:
+                    return SumResult(
+                        value=value, terms_used=terms_used, truncation_bound=bound
+                    )
+        else:
+            return SumResult(value=value, terms_used=terms_used, truncation_bound=0.0)
+        if terms_used >= cap:
+            raise SeriesCapError(
+                f"kernel_sum_2d(b={b}, m1={m1}) hit the {cap}-term cap at tol={tol}"
+            )
+        n += 1
+        term = nxt
+
+
+def _outcome(fn, b, m):
+    try:
+        return fn(b, m)
+    except SeriesCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cap", ["1000000", "40"])
+def test_shared_loop_matches_reference_loops(cap, monkeypatch):
+    # a seeded sweep from b = 1e-4 (hundreds of terms) to full underflow;
+    # the 40-term cap makes the small-b calls raise
+    monkeypatch.setenv("PATHSUM_MAX_TERMS", cap)
+    rng = random.Random(1403)
+    for _ in range(1500):
+        b = math.exp(rng.uniform(math.log(1e-4), math.log(800.0)))
+        m = rng.randint(1, 64)
+        assert _outcome(kernel_sum_1d, b, m) == _outcome(reference_sum_1d, b, m)
+        assert _outcome(kernel_sum_2d, b, m) == _outcome(reference_sum_2d, b, m)
 
 
 class TestKernelSum1D:
@@ -107,8 +182,9 @@ class TestKernelSum1D:
             kernel_sum_1d(-0.5, 1)
         with pytest.raises(ValidationError, match="m"):
             kernel_sum_1d(0.5, 0)
-        with pytest.raises(ValidationError, match="tol"):
-            kernel_sum_1d(0.5, 1, tol=0.0)
+        for tol in (0.0, math.inf):
+            with pytest.raises(ValidationError, match="tol"):
+                kernel_sum_1d(0.5, 1, tol=tol)
         with pytest.raises(ValidationError, match="b"):
             kernel_sum_1d(math.nan, 1)
 
@@ -175,6 +251,29 @@ class TestThresholdScan:
         for m in (1, 2, 3):
             ratios = [row.ratio for row in rows if row.m == m]
             assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+    def test_grid_endpoints_are_exact(self):
+        # the plain blend gives 0.10000000000000002 and 0.6999999999999998 here
+        rows = threshold_scan([1], 0.1, 0.7, 7)
+        assert (rows[0].b, rows[-1].b) == (0.1, 0.7)
+        assert [row.b for row in rows[1:-1]] == [
+            (0.1 * (6 - i) + 0.7 * i) / 6 for i in range(1, 6)
+        ]
+
+    def test_underflowed_limit_keeps_ratio_finite(self):
+        # exp(-b m^2) is 0.0 at both points, where sum/limit would be 0/0
+        rows = threshold_scan([3000], 1e-4, 2e-4, 2)
+        assert rows[0].sum_value == rows[0].limit_value == 0.0
+        # 1 + sum_{j>=1} exp(-4bj(m+j)) at 40 digits (mpmath nsum)
+        assert rows[0].ratio == pytest.approx(1.4305541428735045631, rel=1e-12)
+        assert rows[0].ratio >= rows[1].ratio >= 1.0
+
+    def test_ratio_monotone_across_underflow(self):
+        # exp(-b m^2) passes from normal through subnormal to 0.0 on this grid
+        rows = threshold_scan([3000], 5e-5, 1e-4, 40)
+        assert rows[0].limit_value > 0.0 and rows[-1].limit_value == 0.0
+        ratios = [row.ratio for row in rows]
+        assert all(a >= b >= 1.0 for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("m,b,expected", [
         # reference ratios from 60-digit summation

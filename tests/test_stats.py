@@ -87,8 +87,9 @@ class TestProbability1D:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError, match="m"):
             probability_1d(0)
-        with pytest.raises(ValidationError, match="tol"):
-            probability_1d(2, tol=-1e-9)
+        for tol in (-1e-9, math.inf):
+            with pytest.raises(ValidationError, match="tol"):
+                probability_1d(2, tol=tol)
         with pytest.raises(ValidationError, match="j_max"):
             probability_1d(2, j_max=-1)
 
@@ -142,6 +143,11 @@ class TestProbability2D:
     def test_tail_bound_meets_tolerance(self):
         table = probability_2d(1, tol=1e-9)
         assert 0.0 < table.tail_bound <= 1e-9
+
+    def test_rejects_bad_tol(self):
+        for tol in (-1e-9, math.inf):
+            with pytest.raises(ValidationError, match="tol"):
+                probability_2d(1, tol=tol)
 
     def test_tail_bound_is_honest(self):
         coarse = probability_2d(1, tol=1e-3)
