@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from decimal import Decimal
 from typing import NamedTuple
 
 from . import combinatorics, ensemble, kernel, stats
@@ -284,7 +285,8 @@ def cmd_prob2d(args) -> int:
         "m1": args.m1,
         "j": args.j,
         "k": args.k,
-        "weight": f"{entry.weight.numerator}/{entry.weight.denominator}",
+        # Decimal(int) prints every digit, past the int -> str digit limit
+        "weight": f"{Decimal(entry.weight.numerator)}/{Decimal(entry.weight.denominator)}",
         "probability": prob,
         "percent": 100.0 * prob,
         "normalization": table.normalization,

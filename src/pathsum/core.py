@@ -71,6 +71,13 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_tol(tol: float) -> float:
+    # a relative tolerance >= 1 would accept a sum with no accurate digit
+    if not 0 < tol < 1:  # also false for NaN
+        raise ValidationError("tol", f"must be in (0, 1), got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class PathClass1D:
     """A class of 1D walks with net displacement m and j backward steps.

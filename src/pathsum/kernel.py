@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
     _require_int,
     _require_positive,
+    _require_tol,
     max_series_terms,
 )
 
@@ -68,7 +69,7 @@ def _check_sum_args(b: float, m: int, m_name: str, tol: float) -> None:
     _require_int(m_name, m)
     if m < 1:
         raise ValidationError(m_name, f"must be >= 1, got {m}")
-    _require_positive("tol", tol)
+    _require_tol(tol)
 
 
 def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int) -> SumResult:

@@ -3,9 +3,13 @@
 Each class is weighted by the reciprocal of its multiplicity and the
 weights are normalized into a distribution over j (1D) or (j, k) (2D).
 Weights are exact rationals; only the final probabilities are floats.
-The normalization series converges fast: the term ratio w_{j+1}/w_j is
-at most 1/3 for every j >= 0 and m >= 1, which gives the certified tail
-bounds reported with every table.
+Each class's multiplicity comes from the previous one by one exact integer
+step (a ratio of small factors), never from factorials, so tables have no
+step limit and no dependence on EXACT_STEP_LIMIT. The partial sum
+Z = acc/lcm is kept as an integer pair over the running lcm of the
+multiplicities. The normalization series converges fast: the term ratio
+w_{j+1}/w_j is at most 1/3 for every j >= 0 and m >= 1, which gives the
+certified tail bounds reported with every table.
 
 An alternative weighting that multiplies the class count by per-step
 up/down rates is included with a probe for its non-normalizability, plus
@@ -21,19 +25,13 @@ from fractions import Fraction
 from .core import (
     MomentTriple,
     PathClass1D,
-    PathClassND,
     SeriesCapError,
     ValidationError,
     _require_int,
-    _require_positive,
+    _require_tol,
     max_series_terms,
 )
-from .combinatorics import multiplicity_1d, multiplicity_2d_rotated
-
-# w_{j+1}/w_j = (m+j+1)(j+1)/((m+2j+1)(m+2j+2)) <= 1/3 for all j >= 0, m >= 1,
-# so a truncated weight sum omits at most w_{J+1} * sum(3^-i) = 1.5 * w_{J+1}.
-_TAIL_RATIO = Fraction(1, 3)
-_TAIL_FACTOR = Fraction(3, 2)
+from .combinatorics import multiplicity_1d
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,31 @@ class ProbabilityTable:
         raise KeyError(f"class {key} not in table (truncated at {self.truncated_at})")
 
 
-def _weight_1d(m: int, j: int) -> Fraction:
-    return Fraction(1, multiplicity_1d(PathClass1D(m, j)).exact)
+def _next_1d(m: int, j: int, c: int) -> int:
+    """C(m+2j+2, j+1) from c = C(m+2j, j): the 1D multiplicity one class on."""
+    return c * (m + 2 * j + 1) * (m + 2 * j + 2) // ((m + j + 1) * (j + 1))
+
+
+def _add_reciprocal(acc: int, lcm: int, c: int) -> tuple[int, int]:
+    """acc/lcm + 1/c, kept over the common denominator lcm(lcm, c)."""
+    new = math.lcm(lcm, c)
+    return acc * (new // lcm) + new // c, new
+
+
+def _table(m, classes, acc, lcm, tail_num, tail_den, truncated_at) -> ProbabilityTable:
+    # Z = acc/lcm and the tail is tail_num/tail_den, all exact integers, so each
+    # int/int division below is the correctly rounded float of its rational.
+    return ProbabilityTable(
+        m=m,
+        entries=tuple(
+            ProbabilityEntry(index=idx, weight=Fraction(1, c), probability=lcm / (c * acc))
+            for idx, c in classes
+        ),
+        normalization=acc / lcm,
+        normalization_exact=Fraction(acc, lcm),
+        truncated_at=truncated_at,
+        tail_bound=tail_num * lcm / (tail_den * acc),
+    )
 
 
 def probability_1d(m: int, j_max: int | None = None, tol: float = 1e-12) -> ProbabilityTable:
@@ -87,50 +108,28 @@ def probability_1d(m: int, j_max: int | None = None, tol: float = 1e-12) -> Prob
         _require_int("j_max", j_max)
         if j_max < 0:
             raise ValidationError("j_max", f"must be >= 0, got {j_max}")
-    _require_positive("tol", tol)
+    _require_tol(tol)
 
     cap = max_series_terms()
-    weights: list[Fraction] = []
-    z = Fraction(0)
+    classes: list[tuple[tuple[int, ...], int]] = []
+    acc, lcm = 0, 1
+    c = 1  # C(m+2j, j), the multiplicity of class j
     j = 0
     while True:
-        w = _weight_1d(m, j)
-        weights.append(w)
-        z += w
-        tail = _TAIL_FACTOR * _weight_1d(m, j + 1)
-        if float(tail) <= tol * float(z):
+        classes.append(((j,), c))
+        acc, lcm = _add_reciprocal(acc, lcm, c)
+        c = _next_1d(m, j, c)
+        # w_{j+1}/w_j = (m+j+1)(j+1)/((m+2j+1)(m+2j+2)) <= 1/3 for all j >= 0, m >= 1,
+        # so a truncated weight sum omits at most w_{J+1} * sum(3^-i) = 1.5 * w_{J+1},
+        # which is 3 / (2 C(m+2J+2, J+1)).
+        if 3 / (2 * c) <= tol * (acc / lcm):
             break
         if j_max is not None and j >= j_max:
             break
         if j + 1 >= cap:
             raise SeriesCapError(f"probability_1d(m={m}) hit the {cap}-term cap")
         j += 1
-
-    entries = tuple(
-        ProbabilityEntry(index=(idx,), weight=w, probability=float(w / z))
-        for idx, w in enumerate(weights)
-    )
-    return ProbabilityTable(
-        m=m,
-        entries=entries,
-        normalization=float(z),
-        normalization_exact=z,
-        truncated_at=j,
-        tail_bound=float(tail / z),
-    )
-
-
-def _weight_2d(m1: int, j: int, k: int) -> Fraction:
-    return Fraction(1, multiplicity_2d_rotated(PathClassND(m1, j, k)).exact)
-
-
-def _tail_bound_2d(m1: int, last_diagonal: int) -> Fraction:
-    # Every class on diagonal j+k = n weighs at most the 1D weight w1(n),
-    # and there are n+1 of them, so the tail over diagonals n > N is at most
-    # sum_{i>=0} (N+2+i) w1(N+1) 3^-i = w1(N+1) * (1.5 (N+2) + 0.75).
-    n = last_diagonal
-    w_next = _weight_1d(m1, n + 1)
-    return w_next * (_TAIL_FACTOR * (n + 2) + Fraction(3, 4))
+    return _table(m, classes, acc, lcm, 3, 2 * c, j)
 
 
 def probability_2d(
@@ -157,38 +156,36 @@ def probability_2d(
     _require_int("min_diagonal", min_diagonal)
     if min_diagonal < 0:
         raise ValidationError("min_diagonal", f"must be >= 0, got {min_diagonal}")
-    _require_positive("tol", tol)
+    _require_tol(tol)
 
     cap = max_series_terms()
-    indexed: list[tuple[tuple[int, int], Fraction]] = []
-    z = Fraction(0)
+    classes: list[tuple[tuple[int, ...], int]] = []
+    acc, lcm = 0, 1
+    head = 1  # C(0, n) = (m1+2n)! / (m1! (n!)^2), the first class of diagonal n
+    c1 = 1  # C(m1+2n, n), the 1D multiplicity, for the tail bound
     n = 0
     while True:
+        c = head
         for j in range(n + 1):
-            w = _weight_2d(m1, j, n - j)
-            indexed.append(((j, n - j), w))
-            z += w
-        tail = _tail_bound_2d(m1, n)
-        if n >= min_diagonal and float(tail) <= tol * float(z):
+            k = n - j
+            classes.append(((j, k), c))
+            acc, lcm = _add_reciprocal(acc, lcm, c)
+            c = c * k * k // ((m1 + j + 1) * (j + 1))  # C(j+1, k-1)
+        # Every class on diagonal j+k = n weighs at most the 1D weight w1(n),
+        # and there are n+1 of them, so the tail over diagonals n > N is at most
+        # sum_{i>=0} (N+2+i) w1(N+1) 3^-i = w1(N+1) * (1.5 (N+2) + 0.75),
+        # that is (6N+15) / (4 C(m1+2N+2, N+1)).
+        c1 = _next_1d(m1, n, c1)
+        tail_num, tail_den = 6 * n + 15, 4 * c1
+        if n >= min_diagonal and tail_num / tail_den <= tol * (acc / lcm):
             break
         if max_diagonal is not None and n >= max_diagonal:
             break
-        if len(indexed) + n + 2 > cap:
+        if len(classes) + n + 2 > cap:
             raise SeriesCapError(f"probability_2d(m1={m1}) hit the {cap}-term cap")
+        head = head * (m1 + 2 * n + 1) * (m1 + 2 * n + 2) // ((n + 1) * (n + 1))
         n += 1
-
-    entries = tuple(
-        ProbabilityEntry(index=idx, weight=w, probability=float(w / z))
-        for idx, w in indexed
-    )
-    return ProbabilityTable(
-        m=m1,
-        entries=entries,
-        normalization=float(z),
-        normalization_exact=z,
-        truncated_at=n,
-        tail_bound=float(tail / z),
-    )
+    return _table(m1, classes, acc, lcm, tail_num, tail_den, n)
 
 
 def probability_1d_alt(m: int, j: int) -> float:

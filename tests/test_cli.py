@@ -1,11 +1,21 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+import pathsum
 from pathsum.cli import main
+
+
+def _child_env():
+    # a fresh interpreter imports the same pathsum as this one, from a
+    # checkout too (where pytest's pythonpath setting reaches only this process)
+    src = os.path.dirname(os.path.dirname(pathsum.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(capsys, argv):
@@ -278,6 +288,20 @@ class TestProb2D:
         assert code == 0
         assert json.loads(out)["probability"] > 0.0
 
+    def test_weight_past_the_int_str_digit_limit(self, capsys):
+        # the weight's denominator has 676 digits, more than the lowered limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                capsys,
+                ["prob2d", "--m1", "1000000", "--j", "160", "--k", "0", "--tol", "1e-6"],
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        assert f"weight=1/{math.comb(10**6 + 320, 160)}\n" in out
+
 
 class TestValidate:
     def test_all_scopes_pass(self, capsys):
@@ -358,7 +382,7 @@ def test_unwritable_out_has_no_traceback_in_a_fresh_process(tmp_path):
          "--out", str(tmp_path / "missing" / "x.csv")],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        env=_child_env(),
     )
     assert result.returncode == 2
     assert "cannot write output" in result.stderr
@@ -372,7 +396,7 @@ def test_module_entry_point():
          "--j", "1", "--format", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 3

@@ -182,7 +182,7 @@ class TestKernelSum1D:
             kernel_sum_1d(-0.5, 1)
         with pytest.raises(ValidationError, match="m"):
             kernel_sum_1d(0.5, 0)
-        for tol in (0.0, math.inf):
+        for tol in (0.0, 1.0, 5.0, math.inf):
             with pytest.raises(ValidationError, match="tol"):
                 kernel_sum_1d(0.5, 1, tol=tol)
         with pytest.raises(ValidationError, match="b"):

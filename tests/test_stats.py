@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from pathsum import (
     PathClass1D,
+    ProbabilityEntry,
+    ProbabilityTable,
     SeriesCapError,
     ValidationError,
     alt_divergence_probe,
@@ -15,6 +18,7 @@ from pathsum import (
     probability_1d_alt,
     probability_2d,
 )
+from pathsum import combinatorics
 
 # Fully converged reference values (60-digit arithmetic, exact rational
 # weights). Library tables are truncated at tol, so comparisons allow the
@@ -87,7 +91,7 @@ class TestProbability1D:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError, match="m"):
             probability_1d(0)
-        for tol in (-1e-9, math.inf):
+        for tol in (-1e-9, 1.0, 5.0, math.inf):
             with pytest.raises(ValidationError, match="tol"):
                 probability_1d(2, tol=tol)
         with pytest.raises(ValidationError, match="j_max"):
@@ -145,7 +149,7 @@ class TestProbability2D:
         assert 0.0 < table.tail_bound <= 1e-9
 
     def test_rejects_bad_tol(self):
-        for tol in (-1e-9, math.inf):
+        for tol in (-1e-9, 1.0, 5.0, math.inf):
             with pytest.raises(ValidationError, match="tol"):
                 probability_2d(1, tol=tol)
 
@@ -154,6 +158,105 @@ class TestProbability2D:
         z_true = 1.7035153815357964
         assert coarse.normalization <= z_true + 1e-14
         assert z_true <= coarse.normalization * (1.0 + coarse.tail_bound) + 1e-14
+
+
+# The construction the tables used before the integer recurrence: one
+# multinomial per class, its reciprocal summed as a Fraction. Kept as the
+# reference the tables must match exactly.
+def _comb_1d(m, j):
+    return math.comb(m + 2 * j, j)
+
+
+def _comb_2d(m1, j, k):
+    n = m1 + 2 * j + 2 * k
+    return math.comb(n, j) * math.comb(n - j, k) * math.comb(n - j - k, k)
+
+
+def _reference_table(m, indexed, z, last, tail):
+    entries = tuple(ProbabilityEntry(idx, w, float(w / z)) for idx, w in indexed)
+    return ProbabilityTable(m, entries, float(z), z, last, float(tail / z))
+
+
+def reference_probability_1d(m, j_max=None, tol=1e-12):
+    indexed, z, j = [], Fraction(0), 0
+    while True:
+        w = Fraction(1, _comb_1d(m, j))
+        indexed.append(((j,), w))
+        z += w
+        tail = Fraction(3, 2) * Fraction(1, _comb_1d(m, j + 1))
+        if float(tail) <= tol * float(z):
+            break
+        if j_max is not None and j >= j_max:
+            break
+        j += 1
+    return _reference_table(m, indexed, z, j, tail)
+
+
+def reference_probability_2d(m1, max_diagonal=None, tol=1e-12, min_diagonal=0):
+    indexed, z, n = [], Fraction(0), 0
+    while True:
+        for j in range(n + 1):
+            w = Fraction(1, _comb_2d(m1, j, n - j))
+            indexed.append(((j, n - j), w))
+            z += w
+        tail = Fraction(1, _comb_1d(m1, n + 1)) * (Fraction(3, 2) * (n + 2) + Fraction(3, 4))
+        if n >= min_diagonal and float(tail) <= tol * float(z):
+            break
+        if max_diagonal is not None and n >= max_diagonal:
+            break
+        n += 1
+    return _reference_table(m1, indexed, z, n, tail)
+
+
+def test_recurrence_matches_reference_tables():
+    # seeded tables from tol = 0.5 down to 1e-300, m past the former
+    # 2000-step exact limit, with and without the j_max / diagonal bounds
+    rng = random.Random(5)
+    for _ in range(150):
+        m = rng.choice([rng.randint(1, 20), rng.randint(1, 3000)])
+        tol = 10.0 ** rng.uniform(-300, math.log10(0.5))
+        j_max = rng.choice([None, rng.randint(0, 40)])
+        assert probability_1d(m, j_max, tol) == reference_probability_1d(m, j_max, tol)
+    for _ in range(40):
+        m1 = rng.choice([rng.randint(1, 5), rng.randint(1, 2500)])
+        tol = 10.0 ** rng.uniform(-40, math.log10(0.5))
+        max_diagonal = rng.choice([None, rng.randint(0, 25)])
+        min_diagonal = rng.choice([0, rng.randint(0, 15)])
+        assert probability_2d(m1, max_diagonal, tol, min_diagonal) == (
+            reference_probability_2d(m1, max_diagonal, tol, min_diagonal)
+        )
+
+
+class TestPastTheExactStepLimit:
+    @pytest.mark.parametrize("m", [1998, 1999, 2000, 2500, 10**6])
+    def test_1d_weights_are_exact(self, m, monkeypatch):
+        # a table that did not converge would hit this cap instead of spinning
+        monkeypatch.setenv("PATHSUM_MAX_TERMS", "50")
+        table = probability_1d(m)
+        for entry in table.entries:
+            assert entry.weight == Fraction(1, _comb_1d(m, entry.index[0]))
+
+    def test_probabilities_decrease(self):
+        probs = [e.probability for e in probability_1d(1998, j_max=3).entries]
+        assert len(probs) == 4
+        assert all(a > b for a, b in zip(probs, probs[1:]))
+
+    def test_2d_weights_are_exact(self):
+        table = probability_2d(1999, max_diagonal=2)
+        assert len(table.entries) == 6
+        for entry in table.entries:
+            assert entry.weight == Fraction(1, _comb_2d(1999, *entry.index))
+
+    def test_tables_do_not_depend_on_the_limit(self, monkeypatch):
+        calls = [
+            lambda: probability_1d(2, tol=1e-100),
+            lambda: probability_1d(1500, j_max=5),
+            lambda: probability_2d(1, tol=1e-20),
+            lambda: probability_2d(7, max_diagonal=4, min_diagonal=2),
+        ]
+        before = [call() for call in calls]
+        monkeypatch.setattr(combinatorics, "EXACT_STEP_LIMIT", 10)
+        assert [call() for call in calls] == before
 
 
 class TestAlternativeWeighting:
