@@ -251,12 +251,16 @@ class SumResult:
     """A truncated series value with its certificate.
 
     truncation_bound is a rigorous upper bound on the omitted tail, so the
-    full sum lies in [value, value + truncation_bound] up to roundoff.
+    full sum lies in [value, value + truncation_bound] up to roundoff. route
+    names how the value was computed: "direct" (terms_used classes added one
+    by one) or "euler_maclaurin" (an integral and terms_used - 1 boundary
+    corrections; the interval then includes roundoff).
     """
 
     value: float
     terms_used: int
     truncation_bound: float
+    route: str = "direct"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ returns math.inf there and both entropy forms return exactly 0.0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -31,13 +32,21 @@ def beta_for_path(m: int, j: int, E: float) -> float:
     """Inverse temperature with equilibrium populations m+j up, j down.
 
     Solves exp(2 beta E) = (m+j)/j; returns math.inf for j = 0 (the
-    ordered, zero-entropy case).
+    ordered, zero-entropy case). Raises ValidationError("E") when beta is
+    not a normal float, which happens only for extreme level spacings.
     """
     cls = PathClass1D(m, j)  # reuse the domain validation
     _require_positive("E", E)
     if j == 0:
         return math.inf
-    return math.log(cls.n_up / cls.n_down) / (2.0 * E)
+    # halving first keeps 2E from overflowing; it is otherwise the same
+    # float as log(ratio) / (2E)
+    beta = (0.5 * math.log(cls.n_up / cls.n_down)) / E
+    if not sys.float_info.min <= beta < math.inf:
+        raise ValidationError(
+            "E", f"beta = ln((m+j)/j)/(2E) = {beta} is not a normal float at E = {E}"
+        )
+    return beta
 
 
 def partition_1d(beta: float, E: float) -> float:

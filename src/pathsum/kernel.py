@@ -2,9 +2,20 @@
 
 The weight of a class decays as exp(-b N^2) in its step count N, where
 b = M dx^2/(2 dt hbar) collects all physical parameters. Sums over classes
-are evaluated in ascending order with Neumaier compensated summation and
-stopped by a geometric tail majorant, so every result carries a rigorous
-bound on what was left out.
+take one of two routes, reported as SumResult.route:
+
+- "direct": the classes are added in ascending order with Neumaier
+  compensated summation and stopped by a geometric tail majorant. This
+  needs about sqrt(ln(1/tol)/b)/2 terms, so it slows as b -> 0; terms_used
+  counts the classes added, and PATHSUM_MAX_TERMS caps them.
+- "euler_maclaurin": for b < 1e-3 with b m^2 <= 1, the sum is the
+  continuum integral plus boundary corrections in Hermite polynomials
+  (DLMF 2.10(i)), with a certified remainder. terms_used counts the
+  integral and the p corrections, p + 1 <= 13, and the same cap applies.
+  Where no p certifies tol within the cap, the direct route runs instead.
+
+The full sum lies in [value, value + truncation_bound], up to roundoff on
+the direct route and with roundoff included on the Euler-Maclaurin route.
 
 The scan utilities map where the j = 0 term dominates the full sum; the
 closed-form diffusion propagator and its finite-difference residual provide
@@ -111,24 +122,130 @@ def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int) -> S
         term = nxt
 
 
+# B_{2k}/(2k)! for k = 1..12: the Euler-Maclaurin coefficients
+_EM_COEFFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+)
+_SQRT_PI = 1.7724538509055159
+_ERFC_ULPS = 4  # math.erfc's error on (0, 1], checked against mpmath in the tests
+_EPS = sys.float_info.epsilon
+_SMALL_B = 1e-3  # the direct series needs more than ~80 terms below this b
+
+
+def _euler_maclaurin(b: float, m: int, tol: float, weighted: bool) -> SumResult | None:
+    """Sum of G(m+2n) over n >= 0 by Euler-Maclaurin with step 2, or None.
+
+    G = w g with g(x) = exp(-b x^2) and w = 1, or w = (x-m+2)/2 = x/2 + a
+    when weighted. The sum is half the integral of G over [m, inf), plus
+    G(m)/2, minus sum_k B_2k/(2k)! 2^(2k-1) G^(2k-1)(m), plus R_p, where
+    g^(q)(m) = (-1)^q b^(q/2) H_q(m sqrt(b)) g(m) and (x g)^(q) = -g^(q+1)/(2b).
+    |R_p| <= zeta(2p)/pi^2p * int |G^(2p)|, and Cauchy-Schwarz on Hermite
+    functions gives int |g^(q)| <= b^((q-1)/2) sqrt(2^q q! pi). p grows until
+    R_p <= eps v and the bound fits tol; None means no p <= 12 within the
+    term cap does, and the caller sums directly.
+    """
+    cap = max_series_terms()
+    s = math.sqrt(b)  # never sqrt(pi/b): pi/b overflows for subnormal b
+    t = 2.0 * s
+    y = m * s
+    e = math.exp(-(y * y))
+    head = _SQRT_PI / (4.0 * s) * math.erfc(y)  # half the integral of g
+    if weighted:
+        a = (2 - m) / 2
+        x_head = e / (8.0 * b)  # half the integral of (x/2) g
+        if x_head == math.inf:
+            raise ValidationError(
+                "b", f"kernel_sum_2d(b={b}, m1={m}) exceeds the float range"
+            )
+        parts = [x_head, a * head, 0.5 * e]
+    else:
+        parts = [head, 0.5 * e]
+    # Running Hermite values H_{2k-2}, H_{2k-1} at y, and their majorants
+    # with every sign made positive, which bound the recurrence's rounding.
+    h0, h1 = 1.0, 2.0 * y
+    u0, u1 = 1.0, 2.0 * y
+    power = 1.0  # t^(2k-2)
+    fact = 1.0  # (2k-2)!
+    mag = sum(abs(part) for part in parts)
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        if k + 1 > cap:
+            return None
+        n = 2 * k - 1
+        h2, u2 = 2.0 * y * h1 - 2.0 * n * h0, 2.0 * y * u1 + 2.0 * n * u0
+        fact *= n * (n + 1)  # (2k)!
+        scale = coeff * e * power
+        root = math.sqrt(fact * math.pi)
+        if weighted:
+            term = scale * (0.5 * h2 + a * t * h1)
+            mag += abs(scale) * (0.5 * u2 + abs(a) * t * u1)
+            rem = power * root * (math.sqrt((n + 2) / 2) + abs(a) * t)
+        else:
+            term = scale * t * h1
+            mag += abs(scale) * t * u1
+            rem = power * t * root
+        parts.append(term)
+        v = math.fsum(parts)
+        # zeta(2k)/pi^2k = |B_2k|/(2k)! 2^(2k-1); with the Hermite bound's
+        # 2^q, all powers of 2 but 2^k are already in t
+        rem *= abs(coeff) * 2.0**k
+        if rem <= _EPS * v:
+            # Each piece carries at most erfc's ulps plus ~8 more (erfc's
+            # conditioning <= 3 on y <= 1, the few products); the Hermite
+            # recurrence and its argument add <= 2.5 ulps per index, and the
+            # final v - err and 2 err one more each. (20 + erfc's + 8k) ulps
+            # of the magnitude sum covers them all.
+            err = rem + (20 + _ERFC_ULPS + 8 * k) * _EPS * mag
+            value = v - err
+            bound = 2.0 * err
+            if bound <= tol * value:
+                return SumResult(
+                    value=value,
+                    terms_used=k + 1,
+                    truncation_bound=bound,
+                    route="euler_maclaurin",
+                )
+        h0, h1 = h2, 2.0 * y * h2 - 2.0 * (n + 1) * h1
+        u0, u1 = u2, 2.0 * y * u2 + 2.0 * (n + 1) * u1
+        power *= t * t
+    return None
+
+
+def _kernel_sum(b: float, m: int, tol: float, weighted: bool) -> SumResult:
+    # m <= 1/sqrt(b) is b m^2 <= 1, compared exactly without forming m^2
+    if b < _SMALL_B and m <= 1.0 / math.sqrt(b):
+        result = _euler_maclaurin(b, m, tol, weighted)
+        if result is not None:
+            return result
+    return _gauss_series(b, m, tol, weighted, 0)
+
+
 def kernel_sum_1d(b: float, m: int, tol: float = 1e-12) -> SumResult:
     """Sum of exp(-b (m+2j)^2) over j >= 0, truncated with a certified bound.
 
-    Summation stops once the geometric tail majorant drops to tol times the
-    partial sum; truncation_bound is that majorant.
+    Below b = 1e-3 with b m^2 <= 1 the Euler-Maclaurin route certifies
+    value <= sum <= value + truncation_bound in at most 13 terms; elsewhere,
+    or when that route cannot reach tol, the direct series stops once its
+    geometric tail majorant drops to tol times the partial sum, and
+    truncation_bound is that majorant. terms_used counts the terms of the
+    route taken, and PATHSUM_MAX_TERMS caps it on both.
     """
     _check_sum_args(b, m, "m", tol)
-    return _gauss_series(b, m, tol, False, 0)
+    return _kernel_sum(b, m, tol, False)
 
 
 def kernel_sum_2d(b: float, m1: int, tol: float = 1e-12) -> SumResult:
     """Sum of exp(-b (m1+2j+2k)^2) over j, k >= 0, via exact reindexing.
 
     Collecting the (j, k) pairs with j + k = n gives the single series
-    sum_n (n+1) exp(-b (m1+2n)^2), summed with the same certified stop.
+    sum_n (n+1) exp(-b (m1+2n)^2), summed by the same two routes as
+    kernel_sum_1d. The sum is about 1/(8b) at small b, so below b ~ 7e-310
+    it exceeds the float range and ValidationError is raised.
     """
     _check_sum_args(b, m1, "m1", tol)
-    return _gauss_series(b, m1, tol, True, 0)
+    return _kernel_sum(b, m1, tol, True)
 
 
 @dataclass(frozen=True)

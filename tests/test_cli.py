@@ -114,7 +114,7 @@ class TestScan:
     def test_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHSUM_MAX_TERMS", "5")
         code, _, err = run_cli(
-            capsys, ["scan", "--m-list", "1", "--b-min", "1e-7", "--b-max", "1e-6",
+            capsys, ["scan", "--m-list", "1", "--b-min", "0.002", "--b-max", "0.004",
                      "--points", "2"]
         )
         assert code == 3

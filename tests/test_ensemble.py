@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -63,6 +64,51 @@ class TestTemperatureAssignment:
             beta_for_path(2, 1, 0.0)
         with pytest.raises(ValidationError, match="E"):
             partition_1d(1.0, -2.0)
+
+
+def _quantities_1d(E):
+    ens = SpinEnsemble1D.from_path_class(PathClass1D(3, 1), E)
+    return {
+        "partition": partition_1d(ens.beta, ens.E),
+        "magnetization": magnetization(ens),
+        "entropy": ensemble_entropy_large_n(ens),
+        "entropy_cosh_form": entropy_cosh_form(ens),
+        "canonical": two_level_entropy(ens.n_spins, ens.beta * ens.E),
+    }
+
+
+def _quantities_2d(E):
+    ens = SpinEnsemble2D.from_path_class(PathClassND(3, 1, 1), E, 1.0)
+    return {
+        "partition": partition_2d(ens.beta1, ens.E1, ens.beta2, ens.E2),
+        "log_partition": combined_partition_2d(ens),
+        "entropy": ensemble_entropy_2d(ens),
+    }
+
+
+@pytest.mark.parametrize("quantities", [_quantities_1d, _quantities_2d])
+def test_extreme_level_spacing_is_exact_or_rejected(quantities):
+    # beta E = ln((m+j)/j)/2 does not depend on E; at subnormal or huge E,
+    # beta itself leaves the normal floats and E is rejected instead
+    rng = random.Random(309)
+    spacings = [math.exp(rng.uniform(math.log(5e-324), math.log(1e308))) for _ in range(400)]
+    spacings += [5e-324, 1e-320, 1e-309, 1e-300, 1e300, 1e308]
+    reference = quantities(1.0)
+    outcomes = {"finite": 0, "rejected": 0}
+    for E in spacings:
+        try:
+            got = quantities(E)
+        except ValidationError as exc:
+            assert exc.field_name == "E"
+            outcomes["rejected"] += 1
+            continue
+        outcomes["finite"] += 1
+        for key, value in got.items():
+            assert math.isfinite(value)
+            assert value == pytest.approx(reference[key], rel=1e-14), (E, key)
+        if 2.0 * E < math.inf:
+            assert beta_for_path(3, 1, E) == math.log(4 / 1) / (2.0 * E)
+    assert outcomes["finite"] > 300 and outcomes["rejected"] >= 4
 
 
 class TestPartition:

@@ -20,8 +20,9 @@ from pathsum import (
     propagator_normalization,
     threshold_scan,
 )
+from pathsum import kernel
 from pathsum.core import SumResult, max_series_terms
-from pathsum.kernel import _Neumaier
+from pathsum.kernel import _Neumaier, _gauss_series
 
 
 def oracle_sum_1d(b, m, dps=50):
@@ -49,6 +50,34 @@ def oracle_sum_2d(b, m1, dps=50):
             if n > 4 and term < mp.mpf(10) ** (-dps + 5) * total:
                 return total
             n += 1
+
+
+def fixed_point_sum(b, m, weighted, bits=200):
+    """sum_n w_n exp(-b (m+2n)^2) to about 50 digits, term by term.
+
+    Terms relative to the first are exp(-4bn(m+n)). mpmath seeds the ratio
+    exp(-4b(m+1)) and its step exp(-8b) at 70 digits; the terms then run on
+    exact integers scaled by 2^bits, so the ~5e5 terms at b = 1e-10 stay
+    fast. w_n = n+1 if weighted else 1.
+    """
+    with mp.workdps(70):
+        big_b = mp.mpf(b)
+        head = mp.exp(-big_b * m * m)
+        ratio = int(mp.exp(-4 * big_b * (m + 1)) * 2**bits)
+        step = int(mp.exp(-8 * big_b) * 2**bits)
+    u = 1 << bits
+    total = 0
+    n = 1
+    while True:
+        term = n * u if weighted else u
+        total += term
+        if term < total >> 180:
+            break
+        u = (u * ratio) >> bits
+        ratio = (ratio * step) >> bits
+        n += 1
+    with mp.workdps(70):
+        return head * mp.mpf(total) / 2**bits
 
 
 NATURAL = PhysicalParams(M=1.0, dx=1.0, dt=1.0, hbar=1.0)
@@ -106,9 +135,9 @@ def reference_sum_2d(b, m1, tol=1e-12):
         term = nxt
 
 
-def _outcome(fn, b, m):
+def _outcome(fn, *args):
     try:
-        return fn(b, m)
+        return fn(*args)
     except SeriesCapError as exc:
         return str(exc)
 
@@ -116,16 +145,26 @@ def _outcome(fn, b, m):
 @pytest.mark.parametrize("cap", ["1000000", "40"])
 def test_shared_loop_matches_reference_loops(cap, monkeypatch):
     # a seeded sweep from b = 1e-4 (hundreds of terms) to full underflow;
-    # the 40-term cap makes the small-b calls raise
+    # the 40-term cap makes the small-b direct loops raise. The direct loop
+    # matches the reference loops everywhere, and the public functions match
+    # them wherever the gate (b >= 1e-3 or b m^2 > 1) sends them to it.
     monkeypatch.setenv("PATHSUM_MAX_TERMS", cap)
     rng = random.Random(1403)
+    gated = 0
     for _ in range(1500):
         b = math.exp(rng.uniform(math.log(1e-4), math.log(800.0)))
         m = rng.randint(1, 64)
-        assert _outcome(kernel_sum_1d, b, m) == _outcome(reference_sum_1d, b, m)
-        assert _outcome(kernel_sum_2d, b, m) == _outcome(reference_sum_2d, b, m)
-
-
+        ref_1d = _outcome(reference_sum_1d, b, m)
+        ref_2d = _outcome(reference_sum_2d, b, m)
+        assert _outcome(_gauss_series, b, m, 1e-12, False, 0) == ref_1d
+        assert _outcome(_gauss_series, b, m, 1e-12, True, 0) == ref_2d
+        if b >= 1e-3 or m > 1.0 / math.sqrt(b):
+            assert _outcome(kernel_sum_1d, b, m) == ref_1d
+            assert _outcome(kernel_sum_2d, b, m) == ref_2d
+        else:
+            gated += 1
+            assert kernel_sum_1d(b, m).route == kernel_sum_2d(b, m).route == "euler_maclaurin"
+    assert 100 < gated < 400
 class TestKernelSum1D:
     @pytest.mark.parametrize("b,m,expected", [
         # reference values from 60-digit direct summation
@@ -189,9 +228,10 @@ class TestKernelSum1D:
             kernel_sum_1d(math.nan, 1)
 
     def test_term_cap_enforced(self, monkeypatch):
+        # b = 2e-3 is on the direct route, which needs 57 terms here
         monkeypatch.setenv("PATHSUM_MAX_TERMS", "10")
         with pytest.raises(SeriesCapError):
-            kernel_sum_1d(1e-6, 1)
+            kernel_sum_1d(2e-3, 1)
 
 
 class TestKernelSum2D:
@@ -226,9 +266,93 @@ class TestKernelSum2D:
         assert result.value == pytest.approx(truth, rel=5e-12)
 
     def test_term_cap_enforced(self, monkeypatch):
+        # b = 2e-3 is on the direct route, which needs 59 terms here
         monkeypatch.setenv("PATHSUM_MAX_TERMS", "12")
         with pytest.raises(SeriesCapError):
-            kernel_sum_2d(1e-5, 1)
+            kernel_sum_2d(2e-3, 1)
+
+
+class TestEulerMaclaurinRoute:
+    def test_brackets_high_precision_sums(self):
+        # the interval [value, value + bound] includes roundoff: no slack
+        rng = random.Random(2010)
+        strata = 12
+        for i in range(strata):
+            b = 1e-10 * 10 ** (7 * (i + rng.random()) / strata)
+            m = rng.randint(1, min(64, math.floor(1.0 / math.sqrt(b))))
+            for fn, weighted in ((kernel_sum_1d, False), (kernel_sum_2d, True)):
+                res = fn(b, m)
+                assert res.route == "euler_maclaurin"
+                assert res.truncation_bound <= 1e-12 * res.value
+                truth = fixed_point_sum(b, m, weighted)
+                with mp.workdps(60):
+                    low = mp.mpf(res.value)
+                    assert low <= truth <= low + mp.mpf(res.truncation_bound)
+
+    def test_certifies_along_the_gate_boundary(self):
+        # b m^2 -> 1 for m up to 2000, and b -> 1e-3 at both ends of m
+        cases = []
+        for m in range(1, 2001):
+            b = min(1.0 / (m * m), math.nextafter(1e-3, 0.0))
+            while m > 1.0 / math.sqrt(b):
+                b = math.nextafter(b, 0.0)
+            cases.append((b, m))
+        for i in range(200):
+            b = 1e-3 * (1.0 - 2.0 ** -(1 + i / 4))
+            cases += [(b, 1), (b, math.floor(1.0 / math.sqrt(b)))]
+        for b, m in cases:
+            for fn in (kernel_sum_1d, kernel_sum_2d):
+                res = fn(b, m)
+                assert res.route == "euler_maclaurin"
+                assert 2 <= res.terms_used <= 13
+                assert 0.0 < res.truncation_bound <= 1e-12 * res.value
+
+    def test_subnormal_b(self):
+        for b in (5e-324, 1e-320):
+            for m in (1, 7):
+                res = kernel_sum_1d(b, m)
+                assert res.route == "euler_maclaurin"
+                assert math.isfinite(res.value + res.truncation_bound)
+                # the continuum integral sqrt(pi)/(4 sqrt(b)) is all of it
+                assert res.value == pytest.approx(
+                    math.sqrt(math.pi) / (4.0 * math.sqrt(b)), rel=1e-12
+                )
+        # the 2D sum, about 1/(8b), exceeds the largest float below ~7e-310
+        for b in (5e-324, 1e-320, 1e-312, 6.9e-310):
+            with pytest.raises(ValidationError, match="^b:"):
+                kernel_sum_2d(b, 1)
+        res = kernel_sum_2d(7.5e-310, 1)
+        assert math.isfinite(res.value + res.truncation_bound)
+        assert res.value == pytest.approx(1.0 / (8.0 * 7.5e-310), rel=1e-12)
+
+    def test_erfc_within_assumed_ulps(self):
+        rng = random.Random(1075)
+        xs = [rng.uniform(0.0, 1.0) for _ in range(2000)]
+        xs += [math.ldexp(1.0, -k) for k in range(1075)] + [math.nextafter(1.0, 0.0)]
+        with mp.workdps(40):
+            for x in xs:
+                got = math.erfc(x)
+                assert abs(mp.mpf(got) - mp.erfc(x)) <= kernel._ERFC_ULPS * math.ulp(got)
+
+    def test_tight_tol_falls_through_to_the_direct_loop(self):
+        for fn, weighted in ((kernel_sum_1d, False), (kernel_sum_2d, True)):
+            for b, m in ((1e-4, 1), (5e-4, 40)):
+                for tol in (1e-300, 1e-15):
+                    res = fn(b, m, tol)
+                    assert res == _gauss_series(b, m, tol, weighted, 0)
+                    assert res.route == "direct"
+
+    def test_terms_used_never_exceeds_the_cap(self, monkeypatch):
+        for cap in range(1, 16):
+            monkeypatch.setenv("PATHSUM_MAX_TERMS", str(cap))
+            for b in (1e-10, 1e-6, 1e-4, 9.9e-4):
+                for fn in (kernel_sum_1d, kernel_sum_2d):
+                    try:
+                        res = fn(b, 30)
+                    except SeriesCapError:
+                        assert cap < 13
+                        continue
+                    assert res.terms_used <= cap
 
 
 class TestThresholdScan:
