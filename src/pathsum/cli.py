@@ -387,7 +387,10 @@ def _checks_kernel() -> list[_Check]:
             direct = 0.0
             for j in range(60):
                 for k in range(60):
-                    direct += math.exp(-b * (m1 + 2 * j + 2 * k) ** 2)
+                    term = math.exp(-b * (m1 + 2 * j + 2 * k) ** 2)
+                    if term == 0.0:
+                        break  # the later terms are 0.0 too; direct > 0 stays exact
+                    direct += term
             worst = max(worst, abs(reind - direct) / direct)
     checks.append(_Check("reindexing_identity_2d", worst <= 1e-12, worst, 1e-12))
 
@@ -610,92 +613,96 @@ def _digits(text: str) -> int:
     return value
 
 
-def _add_common(parser, default_format: str = "csv", formats=("csv", "json")) -> None:
+def _add_common(parser, formats) -> None:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument(
-        "--format", choices=formats, default=default_format, help="output format"
-    )
+    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
     parser.add_argument(
         "--digits", type=_digits, default=15,
         help="printed float precision; 17 or more round-trips exactly",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REPORT, _TABLE = ("text", "json"), ("csv", "json")  # --format choices
+
+# Per subcommand: its help, its --format choices (the first is the default),
+# and its own arguments as (flag, add_argument keywords) pairs.
+_SUBCOMMANDS = {
+    "multiplicity": ("count walks in one path class", _REPORT, (
+        ("--dim", dict(type=int, choices=(1, 2, 3), default=1)),
+        ("--m", dict(type=int, default=None, help="1D net displacement")),
+        ("--m1", dict(type=int, default=None, help="first-axis net displacement")),
+        ("--m2", dict(type=int, default=None, help="second-axis net displacement (2D full)")),
+        ("--j", dict(type=int, default=None, help="backward steps on the net axis")),
+        ("--k", dict(type=int, default=None, help="transverse round trips")),
+        ("--l", dict(type=int, default=None, help="second transverse round trips (3D)")),
+        ("--kb", dict(type=float, default=CODATA_KB, help="Boltzmann constant")),
+    )),
+    "scan": ("sum/limit ratio over a grid of b values", _TABLE, (
+        ("--m-list", dict(default="1,2,3", help="comma-separated net displacements")),
+        ("--b-min", dict(type=float, default=0.01)),
+        ("--b-max", dict(type=float, default=2.0)),
+        ("--points", dict(type=int, default=200)),
+        ("--tol", dict(type=float, default=1e-12)),
+    )),
+    "probs": ("normalized class probabilities per m", _TABLE, (
+        ("--m-list", dict(default="2,5,10,50,100")),
+        ("--j-max", dict(type=int, default=None)),
+        ("--tol", dict(type=float, default=1e-12)),
+    )),
+    "paths": ("enumerate the walks of a class explicitly", _REPORT, (
+        ("--dim", dict(type=int, choices=(1, 2, 3), required=True)),
+        ("--net", dict(required=True, help="comma-separated net displacement")),
+        ("--total", dict(type=int, required=True, help="total step count")),
+        ("--cap", dict(type=int, default=combinatorics.DEFAULT_ENUMERATION_CAP)),
+        ("--flips", dict(default=None, help="only this backward-step class, e.g. 1,0")),
+    )),
+    "ensemble": ("two-level ensemble report for a 1D class", _REPORT, (
+        ("--m", dict(type=int, required=True)),
+        ("--j", dict(type=int, required=True)),
+        ("--E", dict(type=float, default=1.0, help="level spacing")),
+        ("--kb", dict(type=float, default=CODATA_KB, help="Boltzmann constant")),
+    )),
+    "prob2d": ("probability of one 2D class with tail bound", _REPORT, (
+        ("--m1", dict(type=int, required=True)),
+        ("--j", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--tol", dict(type=float, default=1e-12)),
+        ("--reference-pct", dict(
+            type=float, default=None,
+            help="externally reported percent value to compare against",
+        )),
+    )),
+    "validate": ("run the built-in consistency checks", _REPORT, (
+        ("--scope", dict(choices=["all", *_SCOPES], default="all")),
+    )),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser for argv. Every subcommand is registered with its help,
+    so usage and errors never depend on argv, but only the one argv[0] names
+    (all of them when it names none) gets its arguments: argparse reaches no
+    other."""
     parser = argparse.ArgumentParser(
         prog="pathsum",
         description="Lattice path-class counts, kernel sums, probabilities, ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("multiplicity", help="count walks in one path class")
-    p.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--m", type=int, default=None, help="1D net displacement")
-    p.add_argument("--m1", type=int, default=None, help="first-axis net displacement")
-    p.add_argument("--m2", type=int, default=None, help="second-axis net displacement (2D full)")
-    p.add_argument("--j", type=int, default=None, help="backward steps on the net axis")
-    p.add_argument("--k", type=int, default=None, help="transverse round trips")
-    p.add_argument("--l", type=int, default=None, help="second transverse round trips (3D)")
-    p.add_argument("--kb", type=float, default=CODATA_KB, help="Boltzmann constant")
-    _add_common(p, default_format="text", formats=("text", "json"))
-    p.set_defaults(func=cmd_multiplicity)
-
-    p = sub.add_parser("scan", help="sum/limit ratio over a grid of b values")
-    p.add_argument("--m-list", default="1,2,3", help="comma-separated net displacements")
-    p.add_argument("--b-min", type=float, default=0.01)
-    p.add_argument("--b-max", type=float, default=2.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("probs", help="normalized class probabilities per m")
-    p.add_argument("--m-list", default="2,5,10,50,100")
-    p.add_argument("--j-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(func=cmd_probs)
-
-    p = sub.add_parser("paths", help="enumerate the walks of a class explicitly")
-    p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--net", required=True, help="comma-separated net displacement")
-    p.add_argument("--total", type=int, required=True, help="total step count")
-    p.add_argument("--cap", type=int, default=combinatorics.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--flips", default=None, help="only this backward-step class, e.g. 1,0")
-    _add_common(p, default_format="text", formats=("text", "json"))
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("ensemble", help="two-level ensemble report for a 1D class")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--E", type=float, default=1.0, help="level spacing")
-    p.add_argument("--kb", type=float, default=CODATA_KB, help="Boltzmann constant")
-    _add_common(p, default_format="text", formats=("text", "json"))
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("prob2d", help="probability of one 2D class with tail bound")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument(
-        "--reference-pct", type=float, default=None,
-        help="externally reported percent value to compare against",
-    )
-    _add_common(p, default_format="text", formats=("text", "json"))
-    p.set_defaults(func=cmd_prob2d)
-
-    p = sub.add_parser("validate", help="run the built-in consistency checks")
-    p.add_argument("--scope", choices=["all", *_SCOPES], default="all")
-    _add_common(p, default_format="text", formats=("text", "json"))
-    p.set_defaults(func=cmd_validate)
-
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_text, formats, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # looked up per call, so a rebound cmd_* function is the one run
+        p.set_defaults(func=globals()[f"cmd_{name}"])
+        if named in (None, name):
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            _add_common(p, formats)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, DivergenceError) as exc:

@@ -37,10 +37,11 @@ LN2 = math.log(2.0)
 def _multinomial(total: int, parts: tuple[int, ...]) -> BigCount:
     """total! / prod(part!) as a BigCount. parts must sum to total."""
     if total <= EXACT_STEP_LIMIT:
-        den = 1
+        # a product of binomials: each part chooses its places among the rest
+        exact, placed = 1, 0
         for p in parts:
-            den *= math.factorial(p)
-        exact = math.factorial(total) // den
+            placed += p
+            exact *= math.comb(placed, p)
         return BigCount(log_value=math.log(exact), exact=exact)
     log_value = math.lgamma(total + 1) - sum(math.lgamma(p + 1) for p in parts)
     return BigCount.from_log(log_value)
@@ -191,28 +192,30 @@ def _check_walk_args(dimension: int, net, total_steps: int) -> tuple[int, ...]:
 def count_paths_by_flips(dimension: int, net, total_steps: int) -> dict[tuple[int, ...], int]:
     """Tally all walks reaching `net` in `total_steps`, keyed by per-axis backward steps.
 
-    Dynamic programming over per-axis (up, down) step counts; every sequence
-    is counted exactly once and no closed-form factorial is used, so this
-    serves as an independent oracle for the multiplicity functions. Keys are
-    tuples (j,), (j, k), or (j, k, l) of backward-step counts per axis.
+    Dynamic programming over flat states (gap_x, down_x, gap_y, ...): the
+    displacement still to go and the backward steps taken, per axis. States
+    farther from `net` than the steps left are dropped, as none of their
+    walks arrives. Every arriving sequence is counted exactly once and no
+    closed-form factorial is used, so this serves as an independent oracle
+    for the multiplicity functions. Keys are tuples (j,), (j, k), or
+    (j, k, l) of backward-step counts per axis.
     """
     net = _check_walk_args(dimension, net, total_steps)
-    start = tuple((0, 0) for _ in range(dimension))
-    states: dict[tuple, int] = {start: 1}
-    for _ in range(total_steps):
-        nxt: dict[tuple, int] = {}
+    states = {tuple(x for want in net for x in (want, 0)): 1}
+    for left in range(total_steps, 0, -1):
+        nxt: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
-            for axis in range(dimension):
-                up, down = state[axis]
-                for bumped in ((up + 1, down), (up, down + 1)):
-                    key = state[:axis] + (bumped,) + state[axis + 1 :]
-                    nxt[key] = nxt.get(key, 0) + count
+            # a state exactly `left` steps away may only step towards net
+            free = sum(map(abs, state[::2])) < left
+            for i in range(0, 2 * dimension, 2):
+                gap, down = state[i], state[i + 1]
+                for move, back in ((-1, 0), (1, 1)):  # forward, backward; towards if gap*move < 0
+                    if free or gap * move < 0:
+                        key = state[:i] + (gap + move, down + back) + state[i + 2 :]
+                        nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    result: dict[tuple[int, ...], int] = {}
-    for state, count in states.items():
-        if all(up - down == want for (up, down), want in zip(state, net)):
-            result[tuple(down for _, down in state)] = count
-    return result
+    # every state left has arrived: all its gaps are 0
+    return {state[1::2]: count for state, count in states.items()}
 
 
 def enumerate_paths(

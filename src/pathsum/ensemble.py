@@ -140,14 +140,17 @@ def energy_moments(ens: SpinEnsemble1D) -> MomentTriple:
     """Energy-scale moments m E, N^2 E^2, 4 j (m+j) E^2.
 
     Structurally identical to the distance moments with dx replaced by E.
+    Raises ValidationError("E") when a moment exceeds the float range.
     """
     m, j, e = ens.m, ens.j, ens.E
     n = ens.n_spins
-    return MomentTriple(
-        mean=m * e,
-        mean_square=n * n * e * e,
-        variance=4 * j * (m + j) * e * e,
-    )
+    try:
+        moments = (m * e, n * n * e * e, 4 * j * (m + j) * e * e)
+    except OverflowError:  # an int factor past the float range
+        moments = (math.inf,)
+    if not all(map(math.isfinite, moments)):
+        raise ValidationError("E", f"the energy moments of {n} spins overflow at E = {e}")
+    return MomentTriple(*moments)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ take one of two routes, reported as SumResult.route:
 
 The full sum lies in [value, value + truncation_bound], up to roundoff on
 the direct route and with roundoff included on the Euler-Maclaurin route.
+m may be any int >= 1: past the float range, b m^2 comes from exact integers.
 
 The scan utilities map where the j = 0 term dominates the full sum; the
 closed-form diffusion propagator and its finite-difference residual provide
@@ -42,32 +43,23 @@ from .core import (
 )
 
 
+def _times(b: float, k: int) -> float:
+    """b*k for an int k >= 0; past the float range, rounded once from exact ints, or inf."""
+    try:
+        return b * k
+    except OverflowError:
+        num, den = b.as_integer_ratio()
+        try:
+            return num * k / den
+        except OverflowError:
+            return math.inf
+
+
 def _gauss_term(b: float, n: int) -> float:
     # The scan limit value. It must equal the series' j = 0 term bit for bit
-    # (ratio >= 1 is promised exactly), so both multiply -b by the exact
-    # integer n*n; (-b*n)*n rounds differently.
-    return math.exp(-b * (n * n))
-
-
-class _Neumaier:
-    """Compensated accumulator; error stays O(eps) independent of term count."""
-
-    __slots__ = ("partial", "carry")
-
-    def __init__(self):
-        self.partial = 0.0
-        self.carry = 0.0
-
-    def add(self, term: float) -> None:
-        new = self.partial + term
-        if abs(self.partial) >= abs(term):
-            self.carry += (self.partial - new) + term
-        else:
-            self.carry += (term - new) + self.partial
-        self.partial = new
-
-    def value(self) -> float:
-        return self.partial + self.carry
+    # (ratio >= 1 is promised exactly), so both multiply b by the exact
+    # integer n*n; (b*n)*n rounds differently.
+    return math.exp(-_times(b, n * n))
 
 
 def _check_sum_args(b: float, m: int, m_name: str, tol: float) -> None:
@@ -93,17 +85,22 @@ def _gauss_series(b: float, m: int, tol: float, weighted: bool, shift: int) -> S
     decreases monotonically and the majorant is valid.
     """
     cap = max_series_terms()
-    acc = _Neumaier()
+    partial = carry = 0.0  # Neumaier's compensated sum: error O(eps) at any length
     n = 0
-    term = math.exp(-b * (m * m - shift))  # the weight is 1 at n = 0
+    term = math.exp(-_times(b, m * m - shift))  # the weight is 1 at n = 0
     while True:
-        acc.add(term)
+        new = partial + term
+        if abs(partial) >= abs(term):
+            carry += (partial - new) + term
+        else:
+            carry += (term - new) + partial
+        partial = new
         terms_used = n + 1
         nxt_m = m + 2 * terms_used
-        nxt = math.exp(-b * (nxt_m * nxt_m - shift))
+        nxt = math.exp(-_times(b, nxt_m * nxt_m - shift))
         if weighted:
             nxt *= n + 2
-        value = acc.value()
+        value = partial + carry
         if term > 0.0:
             ratio = nxt / term
             if ratio < 1.0:
@@ -261,7 +258,7 @@ class KernelScanRow:
 
     @property
     def bm(self) -> float:
-        return self.b * self.m
+        return _times(self.b, self.m)
 
 
 def threshold_scan(
@@ -371,14 +368,24 @@ def propagator_normalization(
     if panels < 2 or panels % 2 != 0:
         raise ValidationError("panels", f"must be an even integer >= 2, got {panels}")
     _require_positive("half_width_sigmas", half_width_sigmas)
-    sigma = math.sqrt(params.hbar * t / params.M)
-    half = half_width_sigmas * sigma
+    _require_positive("t", t)
+    variance = params.hbar * t / params.M
+    half = half_width_sigmas * math.sqrt(variance)
     step = 2.0 * half / panels
-    acc = _Neumaier()
-    acc.add(propagator_closed(params, -half, t))
-    acc.add(propagator_closed(params, half, t))
+    if not math.isfinite(step):
+        raise ValidationError("half_width_sigmas", f"a window of {half} exceeds the float range")
+    # propagator_closed at each point, its constants formed once
+    two_variance = 2.0 * variance
+    norm = math.sqrt(2.0 * math.pi * variance)
+    # the two end values are equal: a Neumaier sum of them is their exact double
+    partial, carry = 2.0 * (math.exp(-half * half / two_variance) / norm), 0.0
     for i in range(1, panels):
         x = -half + i * step
-        weight = 4.0 if i % 2 == 1 else 2.0
-        acc.add(weight * propagator_closed(params, x, t))
-    return acc.value() * step / 3.0
+        term = (4.0 if i % 2 == 1 else 2.0) * (math.exp(-x * x / two_variance) / norm)
+        new = partial + term
+        if partial >= term:  # every term is >= 0
+            carry += (partial - new) + term
+        else:
+            carry += (term - new) + partial
+        partial = new
+    return (partial + carry) * step / 3.0

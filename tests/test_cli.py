@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,7 +10,8 @@ import sys
 import pytest
 
 import pathsum
-from pathsum.cli import main
+from pathsum import cli
+from pathsum.cli import _SUBCOMMANDS, build_parser, main
 
 
 def _child_env():
@@ -400,3 +404,140 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 3
+
+
+# argv that argparse itself ends: help, usage errors, bad values
+PARSE_EXITS = [
+    [], ["-h"], ["--help"], ["bogus"], ["sca"], ["--bogus"], ["--bogus", "scan"],
+    ["--bogus", "scan", "--m-list", "1"], ["scan", "probs"], ["scan", "--bogus"],
+    ["scan", "--points", "x"], ["scan", "--m-list"], ["scan", "--format", "text"],
+    ["probs", "--digits", "-1"], ["probs", "--digits", "x"], ["probs", "--tol"],
+    ["multiplicity", "--dim", "4"], ["multiplicity", "--m", "1.5"],
+    ["paths", "--dim", "1"], ["paths", "--net", "1", "--total", "1"],
+    ["ensemble", "--m", "3"], ["ensemble", "--m", "3", "--j", "1", "--E", "x"],
+    ["prob2d"], ["prob2d", "--m1", "1", "--j", "0"], ["validate", "--scope", "nope"],
+    ["validate", "extra"], ["validate", "--format", "csv"],
+    *([command, "--help"] for command in _SUBCOMMANDS),
+]
+
+
+def _captured(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as stop:
+            result = ("exit", stop.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def reference_parser():
+    """The parser as built before it depended on argv: every subcommand in full."""
+    def add_common(parser, default_format="csv", formats=("csv", "json")):
+        parser.add_argument("--out", default=None, help="output file (default: stdout)")
+        parser.add_argument(
+            "--format", choices=formats, default=default_format, help="output format"
+        )
+        parser.add_argument(
+            "--digits", type=cli._digits, default=15,
+            help="printed float precision; 17 or more round-trips exactly",
+        )
+
+    parser = argparse.ArgumentParser(
+        prog="pathsum",
+        description="Lattice path-class counts, kernel sums, probabilities, ensembles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("multiplicity", help="count walks in one path class")
+    p.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
+    p.add_argument("--m", type=int, default=None, help="1D net displacement")
+    p.add_argument("--m1", type=int, default=None, help="first-axis net displacement")
+    p.add_argument("--m2", type=int, default=None, help="second-axis net displacement (2D full)")
+    p.add_argument("--j", type=int, default=None, help="backward steps on the net axis")
+    p.add_argument("--k", type=int, default=None, help="transverse round trips")
+    p.add_argument("--l", type=int, default=None, help="second transverse round trips (3D)")
+    p.add_argument("--kb", type=float, default=cli.CODATA_KB, help="Boltzmann constant")
+    add_common(p, default_format="text", formats=("text", "json"))
+    p.set_defaults(func=cli.cmd_multiplicity)
+
+    p = sub.add_parser("scan", help="sum/limit ratio over a grid of b values")
+    p.add_argument("--m-list", default="1,2,3", help="comma-separated net displacements")
+    p.add_argument("--b-min", type=float, default=0.01)
+    p.add_argument("--b-max", type=float, default=2.0)
+    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--tol", type=float, default=1e-12)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_scan)
+
+    p = sub.add_parser("probs", help="normalized class probabilities per m")
+    p.add_argument("--m-list", default="2,5,10,50,100")
+    p.add_argument("--j-max", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-12)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_probs)
+
+    p = sub.add_parser("paths", help="enumerate the walks of a class explicitly")
+    p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--net", required=True, help="comma-separated net displacement")
+    p.add_argument("--total", type=int, required=True, help="total step count")
+    p.add_argument("--cap", type=int, default=pathsum.combinatorics.DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--flips", default=None, help="only this backward-step class, e.g. 1,0")
+    add_common(p, default_format="text", formats=("text", "json"))
+    p.set_defaults(func=cli.cmd_paths)
+
+    p = sub.add_parser("ensemble", help="two-level ensemble report for a 1D class")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--E", type=float, default=1.0, help="level spacing")
+    p.add_argument("--kb", type=float, default=cli.CODATA_KB, help="Boltzmann constant")
+    add_common(p, default_format="text", formats=("text", "json"))
+    p.set_defaults(func=cli.cmd_ensemble)
+
+    p = sub.add_parser("prob2d", help="probability of one 2D class with tail bound")
+    p.add_argument("--m1", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--reference-pct", type=float, default=None,
+        help="externally reported percent value to compare against",
+    )
+    add_common(p, default_format="text", formats=("text", "json"))
+    p.set_defaults(func=cli.cmd_prob2d)
+
+    p = sub.add_parser("validate", help="run the built-in consistency checks")
+    p.add_argument("--scope", choices=["all", *cli._SCOPES], default="all")
+    add_common(p, default_format="text", formats=("text", "json"))
+    p.set_defaults(func=cli.cmd_validate)
+
+    return parser
+
+
+def _parse(parser, argv):
+    return _captured(lambda: vars(parser.parse_args(argv)))
+
+
+class TestParserBuiltForArgv:
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_only_the_named_subcommand_gets_arguments(self, command):
+        parser = build_parser([command, "--help"])
+        (subcommands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for name, sub in subcommands.choices.items():
+            assert (len(sub._actions) > 1) == (name == command), name
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "-")
+    def test_parse_exits_match_the_reference(self, argv):
+        want = _parse(reference_parser(), argv)
+        assert want[0] == ("exit", 0 if "--help" in argv or "-h" in argv else 2)
+        assert _captured(lambda: main(argv)) == want
+
+    def test_every_argv_parses_as_in_the_reference(self):
+        with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as handle:
+            cases = json.load(handle)
+        for argv in [case["argv"] for case in cases] + PARSE_EXITS:
+            want = _parse(reference_parser(), argv)
+            assert _parse(build_parser(argv), argv) == want, argv
+            assert _parse(build_parser(), argv) == want, argv

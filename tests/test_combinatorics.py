@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -22,7 +23,7 @@ from pathsum import (
     multiplicity_2d_rotated,
     multiplicity_3d,
 )
-from pathsum.combinatorics import EXACT_STEP_LIMIT
+from pathsum.combinatorics import EXACT_STEP_LIMIT, _multinomial
 
 
 class TestMultiplicity1D:
@@ -240,6 +241,55 @@ class TestEnumerationOracle:
             count_paths_by_flips(1, (4,), 2)  # cannot reach
         with pytest.raises(ValidationError, match="net"):
             count_paths_by_flips(2, (1,), 3)  # wrong arity
+
+
+def unpruned_count_paths_by_flips(dimension, net, total_steps):
+    """The oracle before it pruned: every walk of total_steps, then filtered."""
+    start = tuple((0, 0) for _ in range(dimension))
+    states = {start: 1}
+    for _ in range(total_steps):
+        nxt = {}
+        for state, count in states.items():
+            for axis in range(dimension):
+                up, down = state[axis]
+                for bumped in ((up + 1, down), (up, down + 1)):
+                    key = state[:axis] + (bumped,) + state[axis + 1 :]
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    result = {}
+    for state, count in states.items():
+        if all(up - down == want for (up, down), want in zip(state, net)):
+            result[tuple(down for _, down in state)] = count
+    return result
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_pruned_flip_counter_matches_unpruned(dimension):
+    # every net with components 0..3, from the shortest walk up to two
+    # (3D: one) spare round trips
+    for net in itertools.product(range(4), repeat=dimension):
+        for spare in range(3 if dimension < 3 else 2):
+            total = sum(net) + 2 * spare
+            expected = unpruned_count_paths_by_flips(dimension, net, total)
+            assert count_paths_by_flips(dimension, net, total) == expected, (net, total)
+
+
+def test_chained_binomials_equal_the_factorial_quotient():
+    rng = random.Random(20260)
+    for _ in range(400):
+        parts = tuple(rng.randint(0, rng.choice((5, 60, 700))) for _ in range(rng.randint(1, 6)))
+        total = sum(parts)
+        if total > EXACT_STEP_LIMIT:
+            continue
+        den = 1
+        for p in parts:
+            den *= math.factorial(p)
+        assert _multinomial(total, parts).exact == math.factorial(total) // den, parts
+    # the largest exact case, and the log-gamma route just above it, untouched
+    assert _multinomial(2000, (1000, 1000)).exact == math.comb(2000, 1000)
+    above = _multinomial(2001, (1000, 1001))
+    assert above.exact is None
+    assert above.log_value == pytest.approx(math.log(math.comb(2001, 1000)), rel=1e-13)
 
 
 class TestEnumeratePaths:

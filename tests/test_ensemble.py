@@ -27,6 +27,7 @@ from pathsum import (
     restriction_check,
     two_level_entropy,
 )
+from pathsum.cli import main
 
 KB = 1.380649e-23
 
@@ -109,6 +110,46 @@ def test_extreme_level_spacing_is_exact_or_rejected(quantities):
         if 2.0 * E < math.inf:
             assert beta_for_path(3, 1, E) == math.log(4 / 1) / (2.0 * E)
     assert outcomes["finite"] > 300 and outcomes["rejected"] >= 4
+
+
+def test_energy_moments_are_finite_or_rejected(capsys):
+    # E log-uniform over the positive floats: each moment is the same float
+    # product as before, or E is rejected exactly where one would overflow
+    rng = random.Random(200)
+    spacings = [math.exp(rng.uniform(math.log(5e-324), math.log(1.7e308))) for _ in range(300)]
+    spacings += [5e-324, 1e150, 1e154, 1e160, 1e200, 1.7e308]
+    outcomes = {"finite": 0, "rejected": 0}
+    for m, j in ((3, 1), (1, 0), (7, 40), (10**6, 10**9)):
+        n = m + 2 * j
+        for E in spacings:
+            products = (m * E, n * n * E * E, 4 * j * (m + j) * E * E)
+            try:
+                got = energy_moments(SpinEnsemble1D(m, j, E, 1.0))
+            except ValidationError as exc:
+                assert exc.field_name == "E"
+                assert not all(map(math.isfinite, products)), (m, j, E)
+                outcomes["rejected"] += 1
+                continue
+            assert (got.mean, got.mean_square, got.variance) == products
+            assert all(map(math.isfinite, products))
+            outcomes["finite"] += 1
+    assert outcomes["finite"] > 900 and outcomes["rejected"] > 100
+    # the CLI prints finite numbers or exits 2, for every spacing
+    for E in spacings[::5]:
+        code = main(["ensemble", "--m", "3", "--j", "1", "--E", repr(E)])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.startswith("error: invalid argument (E: ")
+        else:
+            assert code == 0
+            assert "inf" not in out and "nan" not in out
+
+
+def test_energy_moments_of_huge_classes_are_rejected():
+    # n*n leaves the float range before it meets E
+    ens = SpinEnsemble1D(10**160, 1, 1.0, 1e-160)
+    with pytest.raises(ValidationError, match="E"):
+        energy_moments(ens)
 
 
 class TestPartition:

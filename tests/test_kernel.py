@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -22,7 +24,7 @@ from pathsum import (
 )
 from pathsum import kernel
 from pathsum.core import SumResult, max_series_terms
-from pathsum.kernel import _Neumaier, _gauss_series
+from pathsum.kernel import _gauss_series
 
 
 def oracle_sum_1d(b, m, dps=50):
@@ -83,8 +85,31 @@ def fixed_point_sum(b, m, weighted, bits=200):
 NATURAL = PhysicalParams(M=1.0, dx=1.0, dt=1.0, hbar=1.0)
 
 
+class _Neumaier:
+    """Compensated accumulator; error stays O(eps) independent of term count."""
+
+    __slots__ = ("partial", "carry")
+
+    def __init__(self):
+        self.partial = 0.0
+        self.carry = 0.0
+
+    def add(self, term: float) -> None:
+        new = self.partial + term
+        if abs(self.partial) >= abs(term):
+            self.carry += (self.partial - new) + term
+        else:
+            self.carry += (term - new) + self.partial
+        self.partial = new
+
+    def value(self) -> float:
+        return self.partial + self.carry
+
+
 # The two loops kernel_sum_1d and kernel_sum_2d ran before they shared one,
-# kept as the reference that the shared loop must match bit for bit.
+# kept as the reference that the shared loop must match bit for bit. They
+# and the Simpson reference below add with the accumulator class the
+# library used before it inlined the same update, copied verbatim above.
 def reference_sum_1d(b, m, tol=1e-12):
     cap = max_series_terms()
     acc = _Neumaier()
@@ -133,6 +158,21 @@ def reference_sum_2d(b, m1, tol=1e-12):
             )
         n += 1
         term = nxt
+
+
+def reference_propagator_normalization(params, t, panels=4096, half_width_sigmas=12.0):
+    """The Simpson loop before it inlined propagator_closed and the accumulator."""
+    sigma = math.sqrt(params.hbar * t / params.M)
+    half = half_width_sigmas * sigma
+    step = 2.0 * half / panels
+    acc = _Neumaier()
+    acc.add(propagator_closed(params, -half, t))
+    acc.add(propagator_closed(params, half, t))
+    for i in range(1, panels):
+        x = -half + i * step
+        weight = 4.0 if i % 2 == 1 else 2.0
+        acc.add(weight * propagator_closed(params, x, t))
+    return acc.value() * step / 3.0
 
 
 def _outcome(fn, *args):
@@ -444,6 +484,53 @@ class TestAction:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+class TestHugeDisplacement:
+    """m*m past the float range: the exponent b*m^2 is formed without converting m*m."""
+
+    def test_times_is_the_float_product_or_rounded_once(self):
+        rng = random.Random(1024)
+        for _ in range(300):
+            b = math.exp(rng.uniform(math.log(5e-324), math.log(1e3)))
+            k = rng.randint(0, 2**1023)
+            assert kernel._times(b, k).hex() == (b * k).hex()
+            k = rng.randint(2**1024, 2**1100)
+            exact = Fraction(b) * k
+            want = float(exact) if exact < sys.float_info.max else math.inf
+            assert kernel._times(b, k) == want, (b, k)
+
+    @pytest.mark.parametrize("m", [2**600, 10**160, 10**400], ids=["2^600", "1e160", "1e400"])
+    def test_underflowed_sums_are_zero(self, m):
+        for fn in (kernel_sum_1d, kernel_sum_2d):
+            assert fn(0.5, m) == SumResult(value=0.0, terms_used=1, truncation_bound=0.0)
+
+    def test_tiny_b_keeps_its_small_exponent(self):
+        # b m^2 = 2^-1074 2^1080 = 64 exactly, though m*m is no float
+        assert kernel._gauss_term(2.0**-1074, 2**540) == math.exp(-64.0)
+        assert kernel._gauss_term(2.0**-1074, 2**600) == 0.0
+
+    def test_direct_route_raises_typed_errors(self, monkeypatch):
+        monkeypatch.setenv("PATHSUM_MAX_TERMS", "50")
+        # the terms barely decay, so the direct loop hits its cap
+        with pytest.raises(SeriesCapError):
+            kernel_sum_1d(2.0**-1074, 2**540)
+        # tol out of the Euler-Maclaurin route's reach falls back to it
+        assert kernel_sum_1d(2.0**-1074, 2**530).route == "euler_maclaurin"
+        with pytest.raises(SeriesCapError):
+            kernel_sum_1d(2.0**-1074, 2**530, tol=1e-300)
+
+    def test_scan_rows(self):
+        rows = threshold_scan([10**160, 10**400], 1e-320, 0.5, 2)
+        # every sum underflows but the first, which the Euler-Maclaurin
+        # route sums at b m^2 = 1
+        assert [row.sum_value == 0.0 for row in rows] == [False, True, True, True]
+        assert rows[0].limit_value == math.exp(-float(Fraction(rows[0].b) * 10**320))
+        assert rows[0].ratio == rows[0].sum_value / rows[0].limit_value
+        assert [row.ratio for row in rows[1:]] == [1.0] * 3
+        assert rows[1].bm == 5e159
+        assert rows[2].bm == float(Fraction(rows[2].b) * 10**400)
+        assert rows[3].bm == math.inf
+
+
 class TestPropagator:
     def test_peak_value(self):
         # 1/sqrt(2 pi sigma^2) with sigma^2 = hbar t / M = 1
@@ -472,9 +559,33 @@ class TestPropagator:
         order = math.log2(coarse / fine)
         assert abs(order - 2.0) <= 0.5
 
+    def test_normalization_matches_reference_loop(self):
+        # M, hbar, t and the window log-uniform over wide ranges, so the end
+        # values run from ~1/sqrt(2 pi) down to exact underflow
+        rng = random.Random(4096)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for case in range(320):
+            params = PhysicalParams(
+                M=log_uniform(1e-31, 1e3), dx=1.0, dt=1.0, hbar=log_uniform(1e-35, 10.0)
+            )
+            t = log_uniform(1e-18, 1e3)
+            panels = 4096 if case % 40 == 0 else 2 * rng.randint(1, 600)
+            width = log_uniform(0.1, 45.0)
+            got = propagator_normalization(params, t, panels, width)
+            want = reference_propagator_normalization(params, t, panels, width)
+            assert got.hex() == want.hex(), (params, t, panels, width)
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValidationError, match="t"):
             propagator_closed(NATURAL, 0.0, 0.0)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="t"):
+                propagator_normalization(NATURAL, t)
+        with pytest.raises(ValidationError, match="half_width_sigmas"):
+            propagator_normalization(NATURAL, 1.0, half_width_sigmas=1e308)
         with pytest.raises(ValidationError, match="t"):
             heat_residual(NATURAL, 0.0, 1e-3, 1e-3)
         with pytest.raises(ValidationError, match="h"):
