@@ -277,9 +277,11 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_prob2d(args) -> int:
+    if min(args.j, args.k) < 0:
+        raise ValidationError("j" if args.j < 0 else "k", "must be >= 0")
     table = stats.probability_2d(args.m1, tol=args.tol, min_diagonal=args.j + args.k)
-    prob = table.probability((args.j, args.k))
     entry = next(e for e in table.entries if e.index == (args.j, args.k))
+    prob = entry.probability
 
     report: dict[str, object] = {
         "m1": args.m1,

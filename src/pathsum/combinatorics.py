@@ -3,9 +3,9 @@
 A class fixes the net displacement and the number of steps spent moving
 against it (or in transverse round trips); the count is the number of
 distinct step orderings, a multinomial. Counts are exact big integers up
-to EXACT_STEP_LIMIT total steps and switch to lgamma-based logarithms
-above, where the exact integers would be astronomically large but their
-logarithms remain ordinary floats.
+to EXACT_STEP_LIMIT total steps. Above it only their logarithms are kept,
+from Stirling's formula with its remainder, to a relative error near 1e-15
+at any size; a count whose logarithm leaves the float range is rejected.
 
 An enumeration oracle is included: count_paths_by_flips tallies every
 step sequence by dynamic programming without using any closed formula,
@@ -32,10 +32,60 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 _AXIS_NAMES = "xyz"
 LN2 = math.log(2.0)
+_LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _stirling_remainder(n: int) -> float:
+    """ln n! - ((n + 1/2) ln n - n + ln sqrt(2 pi)) for n >= 1 (Loader 2000)."""
+    if n < 16:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+    x = 1 / n  # int / int: no overflow at any n
+    xx = x * x
+    if n > 1000:  # the terms left out are below 1e-18
+        return x * (1 / 12 - xx / 360)
+    return x * (1 / 12 - xx * (1 / 360 - xx * (1 / 1260 - xx * (1 / 1680 - xx / 1188))))
+
+
+def _log_multinomial(total: int, parts: tuple[int, ...]) -> float:
+    """ln(total! / prod(part!)) by Stirling's formula with its remainder.
+
+    With N = total, h = ln(N)/2 + ln sqrt(2 pi) and delta the remainder
+    above, the log count is h + delta(N) plus, per part p > 0,
+    (p + 1/2) ln(N/p) - h - delta(p). The terms (p + 1/2) ln(N/p) carry the
+    value and nothing cancels them, unlike lgamma(N+1) - sum(lgamma(p+1))
+    when one part is close to N. For p >= N/2 the term is computed from
+    q = N - p and y = q/p as q ln(1+y)/y + ln(1+y)/2. An int past the float
+    range makes the count's log larger still (at least ln C(2p, p) for that
+    p), so OverflowError gives inf.
+    """
+    half = 0.5 * math.log(total) + _LN_SQRT_2PI
+    log_value = half + _stirling_remainder(total)
+    try:
+        for p in parts:
+            if p:
+                q = total - p
+                if q <= p:
+                    if q == 0:
+                        return 0.0  # a single part: the count is 1
+                    y = q / p  # 0.0 only when it underflows, where ln(1+y)/y is 1
+                    log1p = math.log1p(y)
+                    lead = q * (log1p / y if y else 1.0) + 0.5 * log1p
+                else:
+                    try:
+                        lead = (p + 0.5) * math.log(total / p)  # total/p is correctly rounded
+                    except OverflowError:  # total/p > 2^1024, where the floor is as good
+                        lead = (p + 0.5) * math.log(total // p)
+                log_value += lead - half - _stirling_remainder(p)
+    except OverflowError:
+        return math.inf
+    return log_value
 
 
 def _multinomial(total: int, parts: tuple[int, ...]) -> BigCount:
-    """total! / prod(part!) as a BigCount. parts must sum to total."""
+    """total! / prod(part!) as a BigCount. parts must sum to total.
+
+    Exact up to EXACT_STEP_LIMIT steps, and only its logarithm above.
+    """
     if total <= EXACT_STEP_LIMIT:
         # a product of binomials: each part chooses its places among the rest
         exact, placed = 1, 0
@@ -43,7 +93,10 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> BigCount:
             placed += p
             exact *= math.comb(placed, p)
         return BigCount(log_value=math.log(exact), exact=exact)
-    log_value = math.lgamma(total + 1) - sum(math.lgamma(p + 1) for p in parts)
+    log_value = _log_multinomial(total, parts)
+    if log_value == math.inf:
+        steps = f"about 2^{total.bit_length() - 1} steps"
+        raise ValidationError("steps", f"the log count of {steps} is past the float range")
     return BigCount.from_log(log_value)
 
 

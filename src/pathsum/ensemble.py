@@ -39,9 +39,13 @@ def beta_for_path(m: int, j: int, E: float) -> float:
     _require_positive("E", E)
     if j == 0:
         return math.inf
+    try:
+        ratio = cls.n_up / cls.n_down
+    except OverflowError:
+        raise ValidationError("m", "the population ratio (m+j)/j is too large") from None
     # halving first keeps 2E from overflowing; it is otherwise the same
     # float as log(ratio) / (2E)
-    beta = (0.5 * math.log(cls.n_up / cls.n_down)) / E
+    beta = (0.5 * math.log(ratio)) / E
     if not sys.float_info.min <= beta < math.inf:
         raise ValidationError(
             "E", f"beta = ln((m+j)/j)/(2E) = {beta} is not a normal float at E = {E}"
@@ -119,9 +123,11 @@ def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
         return 0.0
     m, j = ens.m, ens.j
     n = ens.n_spins
-    return kB * n * (
-        math.log(n / math.sqrt(j * (m + j))) - (m / (2.0 * n)) * math.log((m + j) / j)
-    )
+    try:
+        root = math.sqrt(j * (m + j))
+    except OverflowError:
+        raise ValidationError("m", "the population product j(m+j) is too large") from None
+    return kB * n * (math.log(n / root) - (m / (2.0 * n)) * math.log((m + j) / j))
 
 
 def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:

@@ -326,12 +326,24 @@ def action_1d(params: PhysicalParams, cls: PathClass1D) -> float:
     return params.step_action * (n * n)
 
 
-def propagator_closed(params: PhysicalParams, x: float, t: float) -> float:
-    """Normalized diffusion kernel with diffusivity hbar/(2M)."""
+def _variance(params: PhysicalParams, t: float) -> float:
+    """hbar t / M, the kernel's variance at time t; a ValidationError on t
+    where it falls below the smallest normal float."""
     _require_positive("t", t)
+    variance = params.hbar * t / params.M
+    if variance < sys.float_info.min:
+        raise ValidationError("t", f"the variance hbar*t/M = {variance} underflows at t = {t}")
+    return variance
+
+
+def propagator_closed(params: PhysicalParams, x: float, t: float) -> float:
+    """Normalized diffusion kernel with diffusivity hbar/(2M).
+
+    Raises ValidationError("t") where the variance hbar t / M underflows.
+    """
+    variance = _variance(params, t)
     if math.isnan(x) or math.isinf(x):
         raise ValidationError("x", f"must be finite, got {x!r}")
-    variance = params.hbar * t / params.M
     return math.exp(-x * x / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
 
 
@@ -368,8 +380,7 @@ def propagator_normalization(
     if panels < 2 or panels % 2 != 0:
         raise ValidationError("panels", f"must be an even integer >= 2, got {panels}")
     _require_positive("half_width_sigmas", half_width_sigmas)
-    _require_positive("t", t)
-    variance = params.hbar * t / params.M
+    variance = _variance(params, t)
     half = half_width_sigmas * math.sqrt(variance)
     step = 2.0 * half / panels
     if not math.isfinite(step):

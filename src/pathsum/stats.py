@@ -3,13 +3,17 @@
 Each class is weighted by the reciprocal of its multiplicity and the
 weights are normalized into a distribution over j (1D) or (j, k) (2D).
 Weights are exact rationals; only the final probabilities are floats.
-Each class's multiplicity comes from the previous one by one exact integer
-step (a ratio of small factors), never from factorials, so tables have no
-step limit and no dependence on EXACT_STEP_LIMIT. The partial sum
-Z = acc/lcm is kept as an integer pair over the running lcm of the
-multiplicities. The normalization series converges fast: the term ratio
-w_{j+1}/w_j is at most 1/3 for every j >= 0 and m >= 1, which gives the
-certified tail bounds reported with every table.
+Both tables come from one walk over diagonals: diagonal n holds the
+classes with n backward steps in all, (n,) in 1D and (j, n - j) in 2D.
+One exact integer recurrence carries C(m+2n, n), the multiplicity of (n,)
+and of (n, 0), from diagonal to diagonal, and a second steps along a 2D
+diagonal; there are no factorials, so tables have no step limit and no
+dependence on EXACT_STEP_LIMIT. The partial sum Z = acc/lcm is kept as an
+integer pair over the running lcm of the multiplicities. The normalization
+series converges fast: the term ratio w_{j+1}/w_j is at most 1/3 for every
+j >= 0 and m >= 1, which gives the certified tail bound reported with
+every table, T / C(m+2N+2, N+1) past diagonal N, with T = 3/2 in 1D and
+(6N+15)/4 in 2D.
 
 An alternative weighting that multiplies the class count by per-step
 up/down rates is included with a probe for its non-normalizability, plus
@@ -68,20 +72,47 @@ class ProbabilityTable:
         raise KeyError(f"class {key} not in table (truncated at {self.truncated_at})")
 
 
-def _next_1d(m: int, j: int, c: int) -> int:
-    """C(m+2j+2, j+1) from c = C(m+2j, j): the 1D multiplicity one class on."""
-    return c * (m + 2 * j + 1) * (m + 2 * j + 2) // ((m + j + 1) * (j + 1))
-
-
-def _add_reciprocal(acc: int, lcm: int, c: int) -> tuple[int, int]:
-    """acc/lcm + 1/c, kept over the common denominator lcm(lcm, c)."""
-    new = math.lcm(lcm, c)
-    return acc * (new // lcm) + new // c, new
-
-
-def _table(m, classes, acc, lcm, tail_num, tail_den, truncated_at) -> ProbabilityTable:
-    # Z = acc/lcm and the tail is tail_num/tail_den, all exact integers, so each
-    # int/int division below is the correctly rounded float of its rational.
+def _walk(dim: int, m: int, max_diagonal, tol: float, min_diagonal: int) -> ProbabilityTable:
+    """The table over diagonals n = 0, 1, ..., diagonal n holding the classes
+    with n backward steps in all: (n,) in 1D, (j, n - j) for j = 0..n in 2D."""
+    cap = max_series_terms()
+    classes: list[tuple[tuple[int, ...], int]] = []
+    acc, lcm = 0, 1  # Z = acc/lcm, over the running lcm of the multiplicities
+    c1 = 1  # C(m+2n, n): the multiplicity of (n,) in 1D and of (n, 0) in 2D
+    n = 0
+    while True:
+        if dim == 1:
+            classes.append(((n,), c1))
+            new = math.lcm(lcm, c1)
+            acc, lcm = acc * (new // lcm) + new // c1, new
+        else:
+            # from (n, 0) down to (0, n); Z does not depend on the order of
+            # the additions, and the entries still go in j-ascending order
+            row, c = [], c1
+            for j in range(n, -1, -1):
+                k = n - j
+                row.append(((j, k), c))
+                new = math.lcm(lcm, c)
+                acc, lcm = acc * (new // lcm) + new // c, new
+                c = c * (m + j) * j // ((k + 1) * (k + 1))  # the multiplicity of (j-1, k+1)
+            classes += reversed(row)
+        c1 = c1 * (m + 2 * n + 1) * (m + 2 * n + 2) // ((m + n + 1) * (n + 1))
+        # w_{j+1}/w_j = (m+j+1)(j+1)/((m+2j+1)(m+2j+2)) <= 1/3 for all j >= 0, m >= 1,
+        # so the 1D tail past diagonal N is at most w1(N+1) * sum(3^-i) = 1.5 * w1(N+1).
+        # In 2D every class on diagonal n weighs at most w1(n) and there are n+1 of
+        # them, so the tail is at most sum_{i>=0} (N+2+i) w1(N+1) 3^-i, that is
+        # w1(N+1) * (1.5 (N+2) + 0.75). With w1(N+1) = 1/c1 the tail is
+        # tail_num/tail_den, and each int/int division is correctly rounded.
+        tail_num, tail_den = (3, 2 * c1) if dim == 1 else (6 * n + 15, 4 * c1)
+        if n >= min_diagonal and tail_num / tail_den <= tol * (acc / lcm):
+            break
+        if max_diagonal is not None and n >= max_diagonal:
+            break
+        if len(classes) + (n + 2 if dim == 2 else 1) > cap:  # the next diagonal must fit
+            raise SeriesCapError(
+                f"probability_{dim}d({'m' if dim == 1 else 'm1'}={m}) hit the {cap}-term cap"
+            )
+        n += 1
     return ProbabilityTable(
         m=m,
         entries=tuple(
@@ -90,7 +121,7 @@ def _table(m, classes, acc, lcm, tail_num, tail_den, truncated_at) -> Probabilit
         ),
         normalization=acc / lcm,
         normalization_exact=Fraction(acc, lcm),
-        truncated_at=truncated_at,
+        truncated_at=n,
         tail_bound=tail_num * lcm / (tail_den * acc),
     )
 
@@ -109,27 +140,7 @@ def probability_1d(m: int, j_max: int | None = None, tol: float = 1e-12) -> Prob
         if j_max < 0:
             raise ValidationError("j_max", f"must be >= 0, got {j_max}")
     _require_tol(tol)
-
-    cap = max_series_terms()
-    classes: list[tuple[tuple[int, ...], int]] = []
-    acc, lcm = 0, 1
-    c = 1  # C(m+2j, j), the multiplicity of class j
-    j = 0
-    while True:
-        classes.append(((j,), c))
-        acc, lcm = _add_reciprocal(acc, lcm, c)
-        c = _next_1d(m, j, c)
-        # w_{j+1}/w_j = (m+j+1)(j+1)/((m+2j+1)(m+2j+2)) <= 1/3 for all j >= 0, m >= 1,
-        # so a truncated weight sum omits at most w_{J+1} * sum(3^-i) = 1.5 * w_{J+1},
-        # which is 3 / (2 C(m+2J+2, J+1)).
-        if 3 / (2 * c) <= tol * (acc / lcm):
-            break
-        if j_max is not None and j >= j_max:
-            break
-        if j + 1 >= cap:
-            raise SeriesCapError(f"probability_1d(m={m}) hit the {cap}-term cap")
-        j += 1
-    return _table(m, classes, acc, lcm, 3, 2 * c, j)
+    return _walk(1, m, j_max, tol, 0)
 
 
 def probability_2d(
@@ -157,35 +168,7 @@ def probability_2d(
     if min_diagonal < 0:
         raise ValidationError("min_diagonal", f"must be >= 0, got {min_diagonal}")
     _require_tol(tol)
-
-    cap = max_series_terms()
-    classes: list[tuple[tuple[int, ...], int]] = []
-    acc, lcm = 0, 1
-    head = 1  # C(0, n) = (m1+2n)! / (m1! (n!)^2), the first class of diagonal n
-    c1 = 1  # C(m1+2n, n), the 1D multiplicity, for the tail bound
-    n = 0
-    while True:
-        c = head
-        for j in range(n + 1):
-            k = n - j
-            classes.append(((j, k), c))
-            acc, lcm = _add_reciprocal(acc, lcm, c)
-            c = c * k * k // ((m1 + j + 1) * (j + 1))  # C(j+1, k-1)
-        # Every class on diagonal j+k = n weighs at most the 1D weight w1(n),
-        # and there are n+1 of them, so the tail over diagonals n > N is at most
-        # sum_{i>=0} (N+2+i) w1(N+1) 3^-i = w1(N+1) * (1.5 (N+2) + 0.75),
-        # that is (6N+15) / (4 C(m1+2N+2, N+1)).
-        c1 = _next_1d(m1, n, c1)
-        tail_num, tail_den = 6 * n + 15, 4 * c1
-        if n >= min_diagonal and tail_num / tail_den <= tol * (acc / lcm):
-            break
-        if max_diagonal is not None and n >= max_diagonal:
-            break
-        if len(classes) + n + 2 > cap:
-            raise SeriesCapError(f"probability_2d(m1={m1}) hit the {cap}-term cap")
-        head = head * (m1 + 2 * n + 1) * (m1 + 2 * n + 2) // ((n + 1) * (n + 1))
-        n += 1
-    return _table(m1, classes, acc, lcm, tail_num, tail_den, n)
+    return _walk(2, m1, max_diagonal, tol, min_diagonal)
 
 
 def probability_1d_alt(m: int, j: int) -> float:

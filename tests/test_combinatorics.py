@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +84,50 @@ class TestMultiplicityBeyondExactCutoff:
             math.lgamma(m + 2 * j + 1) - math.lgamma(m + j + 1) - math.lgamma(j + 1)
         )
         assert count.log_value == pytest.approx(via_lgamma, rel=1e-12)
+
+
+def _mp_log_multinomial(parts):
+    # at a fixed 30 digits loggamma(N+1) itself is only good to ~1e-30 N, so
+    # the precision grows with the digits of N
+    total = sum(parts)
+    with mp.workdps(len(str(total)) + 30):
+        return mp.loggamma(total + 1) - mp.fsum(mp.loggamma(p + 1) for p in parts)
+
+
+class TestLogCountsPastTheExactLimit:
+    def test_match_mpmath_on_seeded_classes(self):
+        rng = random.Random(91)
+        for _ in range(300):
+            total = max(EXACT_STEP_LIMIT + 1, int(mp.mpf(10) ** rng.uniform(3.3, 300)))
+            count = rng.randint(2, 6)
+            shape = rng.choice(("small", "skewed", "balanced"))
+            if shape == "balanced":
+                cuts = sorted(rng.randint(0, total) for _ in range(count - 1))
+                parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            else:
+                top = 20 if shape == "small" else total // count
+                rest = [rng.randint(0, top) for _ in range(count - 1)]
+                parts = [total - sum(rest), *rest]
+            rng.shuffle(parts)
+            got = _multinomial(total, tuple(parts))
+            assert got.exact is None
+            want = _mp_log_multinomial(parts)
+            assert abs(got.log_value - want) <= 1e-14 * want, parts
+
+    @pytest.mark.parametrize("e", [4, 12, 14, 17, 100, 149, 305, 400])
+    def test_one_backward_step_of_a_huge_class(self, e):
+        # W = N = m + 2: lgamma differences lost this to cancellation
+        count = multiplicity_1d(PathClass1D(10**e, 1))
+        assert count.log_value == pytest.approx(math.log(10**e + 2), rel=1e-15)
+        assert multiplicity_1d(PathClass1D(10**e, 0)).log_value == 0.0
+
+    def test_typed_error_only_past_the_float_range(self):
+        edge = multiplicity_1d(PathClass1D(2**1023, 2**1023))  # ln W ~ 1.716e308
+        want = _mp_log_multinomial((2**1024, 2**1023))
+        assert edge.log_value == pytest.approx(float(want), rel=1e-14)
+        for net, backward in (((10**400,), (10**399,)), ((10**308, 10**308), (10**308, 0))):
+            with pytest.raises(ValidationError, match="^steps: "):
+                multiplicity(net, backward)
 
 
 class TestMultiplicity2DAnd3D:

@@ -152,6 +152,28 @@ def test_energy_moments_of_huge_classes_are_rejected():
         energy_moments(ens)
 
 
+def test_huge_classes_report_finite_numbers_or_exit_2(capsys):
+    # j = 0 prints the documented beta = inf and partition = inf; any other
+    # inf or nan, or a traceback, is a defect
+    for e in range(1, 401):
+        for j in sorted({0, 1, 10 ** (e // 2)}):
+            code = main(["ensemble", "--m", str(10**e), "--j", str(j)])
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert out == "" and err.startswith("error: invalid argument ("), (e, j)
+                continue
+            assert code == 0, (e, j)
+            report = dict(line.split("=", 1) for line in out.splitlines())
+            if j == 0:
+                assert report.pop("beta") == report.pop("partition") == "inf"
+            assert not any(v in ("inf", "-inf", "nan") for v in report.values()), (e, j)
+    # past the float range the ratio and the product of the populations are rejected
+    for m, j in ((10**400, 1), (10**206, 10**103)):
+        with pytest.raises(ValidationError, match="^m: "):
+            ens = SpinEnsemble1D.from_path_class(PathClass1D(m, j), 1.0)
+            ensemble_entropy_large_n(ens)
+
+
 class TestPartition:
     def test_value(self):
         beta = beta_for_path(2, 1, 1.0)

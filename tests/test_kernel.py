@@ -592,6 +592,12 @@ class TestPropagator:
             heat_residual(NATURAL, 0.0, 1.0, 0.0)
         with pytest.raises(ValidationError, match="panels"):
             propagator_normalization(NATURAL, 1.0, panels=7)
+        # hbar*t/M underflows to 0
+        heavy = PhysicalParams(M=1e300, dx=1.0, dt=1.0, hbar=1e-30)
+        with pytest.raises(ValidationError, match="^t: "):
+            propagator_closed(heavy, 0.0, 1e-300)
+        with pytest.raises(ValidationError, match="^t: "):
+            propagator_normalization(heavy, 1e-300)
 
 
 @settings(deadline=None, max_examples=25)

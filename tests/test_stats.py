@@ -227,6 +227,35 @@ def test_recurrence_matches_reference_tables():
         )
 
 
+@pytest.mark.parametrize("cap", range(1, 41))
+def test_cap_admits_exactly_the_tables_that_fit(cap, monkeypatch):
+    # a table is built when its reference has at most cap entries, and
+    # otherwise raises naming the function and m
+    rng = random.Random(cap)
+    cases = []
+    for _ in range(15):
+        m = rng.choice([rng.randint(1, 20), rng.randint(1, 3000)])
+        tol = 10.0 ** rng.uniform(-40, math.log10(0.5))
+        args = (m, rng.choice([None, rng.randint(0, 40)]), tol)
+        cases.append((probability_1d, reference_probability_1d, args,
+                      f"probability_1d\\(m={m}\\)"))
+    for _ in range(15):
+        m1 = rng.choice([rng.randint(1, 5), rng.randint(1, 2500)])
+        tol = 10.0 ** rng.uniform(-15, math.log10(0.5))
+        bounds = (rng.choice([None, rng.randint(0, 10)]), tol, rng.choice([0, rng.randint(0, 6)]))
+        cases.append((probability_2d, reference_probability_2d, (m1, *bounds),
+                      f"probability_2d\\(m1={m1}\\)"))
+    for table, reference, args, name in cases:
+        want = reference(*args)
+        monkeypatch.setenv("PATHSUM_MAX_TERMS", str(cap))
+        if len(want.entries) <= cap:
+            assert table(*args) == want, args
+        else:
+            with pytest.raises(SeriesCapError, match=f"^{name} hit the {cap}-term cap$"):
+                table(*args)
+        monkeypatch.delenv("PATHSUM_MAX_TERMS")
+
+
 class TestPastTheExactStepLimit:
     @pytest.mark.parametrize("m", [1998, 1999, 2000, 2500, 10**6])
     def test_1d_weights_are_exact(self, m, monkeypatch):
