@@ -239,11 +239,18 @@ class BigCount:
         if n < 1:
             raise ValidationError("exact", f"count must be >= 1, got {n}")
         # math.log accepts arbitrary-size ints directly
-        return cls(log_value=math.log(n), exact=n)
+        count = cls.from_log(math.log(n))
+        object.__setattr__(count, "exact", n)
+        return count
 
     @classmethod
     def from_log(cls, log_value: float) -> "BigCount":
-        return cls(log_value=log_value, exact=None)
+        # cls(log_value) without the frozen __init__ and __post_init__, which
+        # have nothing to check here
+        count = object.__new__(cls)
+        object.__setattr__(count, "log_value", log_value)
+        object.__setattr__(count, "exact", None)
+        return count
 
 
 @dataclass(frozen=True)

@@ -35,17 +35,18 @@ def beta_for_path(m: int, j: int, E: float) -> float:
     ordered, zero-entropy case). Raises ValidationError("E") when beta is
     not a normal float, which happens only for extreme level spacings.
     """
-    cls = PathClass1D(m, j)  # reuse the domain validation
+    PathClass1D(m, j)  # reuse the domain validation
     _require_positive("E", E)
     if j == 0:
         return math.inf
+    # ln((m+j)/j) = log1p(m/j), with m/j correctly rounded; where m/j is past
+    # the float range, m >> j and the difference of the two logs cannot cancel
     try:
-        ratio = cls.n_up / cls.n_down
+        log_ratio = math.log1p(m / j)
     except OverflowError:
-        raise ValidationError("m", "the population ratio (m+j)/j is too large") from None
-    # halving first keeps 2E from overflowing; it is otherwise the same
-    # float as log(ratio) / (2E)
-    beta = (0.5 * math.log(ratio)) / E
+        log_ratio = math.log(m + j) - math.log(j)
+    # halving first keeps 2E from overflowing
+    beta = (0.5 * log_ratio) / E
     if not sys.float_info.min <= beta < math.inf:
         raise ValidationError(
             "E", f"beta = ln((m+j)/j)/(2E) = {beta} is not a normal float at E = {E}"
@@ -114,20 +115,18 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
 
 
 def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
-    """Closed-form entropy from the populations:
+    """Closed-form entropy from the populations, 0 for j = 0:
 
-    kB N [ln(N / sqrt(j (m+j))) - (m / 2N) ln((m+j)/j)], 0 for j = 0.
+    kB [N ln N - (m+j) ln(m+j) - j ln j] = kB [(m+j) ln(N/(m+j)) + j ln(N/j)],
+    which is kB mixing_log_count(m+j, j) and has no cancelling terms.
     Algebraically identical to two_level_entropy(N, beta E).
     """
     if ens.j == 0:
         return 0.0
-    m, j = ens.m, ens.j
-    n = ens.n_spins
     try:
-        root = math.sqrt(j * (m + j))
+        return kB * mixing_log_count(ens.n_up, ens.j)
     except OverflowError:
-        raise ValidationError("m", "the population product j(m+j) is too large") from None
-    return kB * n * (math.log(n / root) - (m / (2.0 * n)) * math.log((m + j) / j))
+        raise ValidationError("m", "the population m+j is past the float range") from None
 
 
 def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:

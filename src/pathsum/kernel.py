@@ -339,12 +339,22 @@ def _variance(params: PhysicalParams, t: float) -> float:
 def propagator_closed(params: PhysicalParams, x: float, t: float) -> float:
     """Normalized diffusion kernel with diffusivity hbar/(2M).
 
-    Raises ValidationError("t") where the variance hbar t / M underflows.
+    Raises ValidationError("t") where the variance hbar t / M underflows, or
+    where the width sqrt(2 pi hbar t / M) overflows.
     """
     variance = _variance(params, t)
     if math.isnan(x) or math.isinf(x):
         raise ValidationError("x", f"must be finite, got {x!r}")
-    return math.exp(-x * x / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+    norm = math.sqrt(2.0 * math.pi * variance)
+    if norm < math.inf and x * x < math.inf:
+        return math.exp(-x * x / (2.0 * variance)) / norm
+    # 2 pi hbar t / M or x^2 overflows: take the square roots first
+    sigma = math.sqrt(params.hbar) * math.sqrt(t) / math.sqrt(params.M)
+    norm = math.sqrt(2.0 * math.pi) * sigma
+    if not norm < math.inf:
+        raise ValidationError("t", f"the width sqrt(2 pi hbar t/M) overflows at t = {t}")
+    z = x / sigma
+    return math.exp(-0.5 * z * z) / norm
 
 
 def heat_residual(params: PhysicalParams, x: float, t: float, h: float) -> float:
@@ -388,6 +398,8 @@ def propagator_normalization(
     # propagator_closed at each point, its constants formed once
     two_variance = 2.0 * variance
     norm = math.sqrt(2.0 * math.pi * variance)
+    if not (norm < math.inf and half * half < math.inf):
+        raise ValidationError("t", f"the window's x^2 or 2 pi hbar t/M overflows at t = {t}")
     # the two end values are equal: a Neumaier sum of them is their exact double
     partial, carry = 2.0 * (math.exp(-half * half / two_variance) / norm), 0.0
     for i in range(1, panels):

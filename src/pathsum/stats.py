@@ -9,7 +9,13 @@ One exact integer recurrence carries C(m+2n, n), the multiplicity of (n,)
 and of (n, 0), from diagonal to diagonal, and a second steps along a 2D
 diagonal; there are no factorials, so tables have no step limit and no
 dependence on EXACT_STEP_LIMIT. The partial sum Z = acc/lcm is kept as an
-integer pair over the running lcm of the multiplicities. The normalization
+integer pair over the running lcm of the multiplicities. Adding 1/c costs
+one gcd: with g = gcd(lcm, c) and q = c/g, the new lcm is lcm*q and
+acc becomes acc*q + lcm/g. Each probability is the correctly rounded
+quotient lcm/(c*acc), which is below 2**(L(lcm) - L(acc) - L(c) + 2) for
+bit lengths L. Where that power is at most 2**-1075, half the smallest
+subnormal, the quotient rounds to exactly 0.0 and is not formed: this
+spares huge-m tables most of their bigint division. The normalization
 series converges fast: the term ratio w_{j+1}/w_j is at most 1/3 for every
 j >= 0 and m >= 1, which gives the certified tail bound reported with
 every table, T / C(m+2N+2, N+1) past diagonal N, with T = 3/2 in 1D and
@@ -72,6 +78,14 @@ class ProbabilityTable:
         raise KeyError(f"class {key} not in table (truncated at {self.truncated_at})")
 
 
+def _unit_fraction(c: int) -> Fraction:
+    """Fraction(1, c) for an int c >= 1, without the gcd that Fraction() runs."""
+    f = object.__new__(Fraction)
+    f._numerator = 1
+    f._denominator = c
+    return f
+
+
 def _walk(dim: int, m: int, max_diagonal, tol: float, min_diagonal: int) -> ProbabilityTable:
     """The table over diagonals n = 0, 1, ..., diagonal n holding the classes
     with n backward steps in all: (n,) in 1D, (j, n - j) for j = 0..n in 2D."""
@@ -83,8 +97,9 @@ def _walk(dim: int, m: int, max_diagonal, tol: float, min_diagonal: int) -> Prob
     while True:
         if dim == 1:
             classes.append(((n,), c1))
-            new = math.lcm(lcm, c1)
-            acc, lcm = acc * (new // lcm) + new // c1, new
+            g = math.gcd(lcm, c1)
+            q = c1 // g
+            acc, lcm = acc * q + lcm // g, lcm * q
         else:
             # from (n, 0) down to (0, n); Z does not depend on the order of
             # the additions, and the entries still go in j-ascending order
@@ -92,8 +107,9 @@ def _walk(dim: int, m: int, max_diagonal, tol: float, min_diagonal: int) -> Prob
             for j in range(n, -1, -1):
                 k = n - j
                 row.append(((j, k), c))
-                new = math.lcm(lcm, c)
-                acc, lcm = acc * (new // lcm) + new // c, new
+                g = math.gcd(lcm, c)
+                q = c // g
+                acc, lcm = acc * q + lcm // g, lcm * q
                 c = c * (m + j) * j // ((k + 1) * (k + 1))  # the multiplicity of (j-1, k+1)
             classes += reversed(row)
         c1 = c1 * (m + 2 * n + 1) * (m + 2 * n + 2) // ((m + n + 1) * (n + 1))
@@ -113,12 +129,16 @@ def _walk(dim: int, m: int, max_diagonal, tol: float, min_diagonal: int) -> Prob
                 f"probability_{dim}d({'m' if dim == 1 else 'm1'}={m}) hit the {cap}-term cap"
             )
         n += 1
+    # from c.bit_length() >= cut on, lcm/(c*acc) < 2**-1075 rounds to exactly 0.0
+    cut = lcm.bit_length() - acc.bit_length() + 1077
     return ProbabilityTable(
         m=m,
-        entries=tuple(
-            ProbabilityEntry(index=idx, weight=Fraction(1, c), probability=lcm / (c * acc))
+        entries=tuple([
+            ProbabilityEntry(
+                idx, _unit_fraction(c), 0.0 if c.bit_length() >= cut else lcm / (c * acc)
+            )
             for idx, c in classes
-        ),
+        ]),
         normalization=acc / lcm,
         normalization_exact=Fraction(acc, lcm),
         truncated_at=n,

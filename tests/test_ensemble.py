@@ -32,6 +32,17 @@ from pathsum.cli import main
 KB = 1.380649e-23
 
 
+def _mp_entropy(m, j):
+    """(m+j) ln(N/(m+j)) + j ln(N/j) with N = m + 2j, to 30 digits past N's."""
+    n = m + 2 * j
+    with mp.workdps(len(str(n)) + 30):
+        return float((m + j) * mp.log(mp.mpf(n) / (m + j)) + j * mp.log(mp.mpf(n) / j))
+
+
+def _log_uniform_int(rng, hi_exp):
+    return max(1, int(10 ** rng.uniform(0, hi_exp)))
+
+
 class TestTemperatureAssignment:
     def test_known_beta(self):
         # exp(2 beta E) = 3 at (m, j) = (2, 1), so beta = ln(3)/2 for E = 1
@@ -44,6 +55,17 @@ class TestTemperatureAssignment:
 
     def test_ordered_case_is_infinitely_cold(self):
         assert beta_for_path(3, 0, 1.0) == math.inf
+
+    def test_matches_mpmath_for_large_j(self):
+        # log1p(m/j) keeps the ratio's bits when it is near 1; before, j = 10**15
+        # was 11% off and j = 10**16 raised ValidationError("E") at E = 1
+        rng = random.Random(15)
+        cases = [(1, 10**15), (1, 10**16), (10**400, 1), (10**320, 3), (7, 10**15 - 1)]
+        cases += [(_log_uniform_int(rng, 30), _log_uniform_int(rng, 15)) for _ in range(400)]
+        for m, j in cases:
+            with mp.workdps(60):
+                want = mp.log(mp.mpf(m + j) / j) / 2
+            assert abs(beta_for_path(m, j, 1.0) - want) <= 3e-16 * want, (m, j)
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -167,11 +189,13 @@ def test_huge_classes_report_finite_numbers_or_exit_2(capsys):
             if j == 0:
                 assert report.pop("beta") == report.pop("partition") == "inf"
             assert not any(v in ("inf", "-inf", "nan") for v in report.values()), (e, j)
-    # past the float range the ratio and the product of the populations are rejected
-    for m, j in ((10**400, 1), (10**206, 10**103)):
-        with pytest.raises(ValidationError, match="^m: "):
-            ens = SpinEnsemble1D.from_path_class(PathClass1D(m, j), 1.0)
-            ensemble_entropy_large_n(ens)
+    # a population past the float range is rejected; a product of populations
+    # past it is not, since the entropy no longer forms one
+    ens = SpinEnsemble1D.from_path_class(PathClass1D(10**400, 1), 1.0)
+    with pytest.raises(ValidationError, match="^m: "):
+        ensemble_entropy_large_n(ens)
+    ens = SpinEnsemble1D.from_path_class(PathClass1D(10**206, 10**103), 1.0)
+    assert ensemble_entropy_large_n(ens) == pytest.approx(_mp_entropy(10**206, 10**103), rel=1e-15)
 
 
 class TestPartition:
@@ -228,6 +252,17 @@ class TestEntropy1D:
         ens = SpinEnsemble1D.from_path_class(PathClass1D(3, 2), 0.9)
         assert entropy_cosh_form(ens) < 0.0
         assert ensemble_entropy_large_n(ens) > 0.0
+
+    def test_closed_form_matches_mpmath(self):
+        # the closed form no longer cancels when m >> j: at (10**17, 1) it
+        # printed 0 and at (10**16, 1) 35.53 instead of 37.84
+        rng = random.Random(17)
+        cases = [(10**e, 1) for e in range(1, 300, 7)] + [(10**16, 1), (10**17, 1)]
+        cases += [(_log_uniform_int(rng, 30), _log_uniform_int(rng, 30)) for _ in range(300)]
+        for m, j in cases:
+            ens = SpinEnsemble1D.from_path_class(PathClass1D(m, j), 1.0)
+            want = _mp_entropy(m, j)
+            assert abs(ensemble_entropy_large_n(ens) - want) <= 5e-16 * want, (m, j)
 
     def test_ordered_case_is_zero(self):
         ens = SpinEnsemble1D.from_path_class(PathClass1D(4, 0), 1.0)

@@ -599,6 +599,23 @@ class TestPropagator:
         with pytest.raises(ValidationError, match="^t: "):
             propagator_normalization(heavy, 1e-300)
 
+    def test_wide_kernel_takes_square_roots_first(self):
+        # hbar*t/M = 1e610 overflows, yet the peak 1/sqrt(2 pi 1e610) is a
+        # normal float; before, it came out as 0.0
+        light = PhysicalParams(M=1e-300, dx=1.0, dt=1.0, hbar=1e300)
+        wide = PhysicalParams(M=1.0, dx=1.0, dt=1.0, hbar=1e307)  # x^2 overflows first
+        with mp.workdps(40):
+            for params, x, t in ((light, 0.0, 1e10), (light, 3e304, 1e10), (wide, 2e154, 1.0)):
+                var = mp.mpf(params.hbar) * t / params.M
+                want = mp.exp(-mp.mpf(x) ** 2 / (2 * var)) / mp.sqrt(2 * mp.pi * var)
+                assert propagator_closed(params, x, t) == pytest.approx(float(want), rel=1e-14)
+        with pytest.raises(ValidationError, match="^t: "):
+            propagator_closed(PhysicalParams(M=5e-324, dx=1.0, dt=1.0, hbar=1e308), 0.0, 1e308)
+        # the Simpson window cannot square its ends there, and says so
+        for params, t in ((wide, 1.0), (light, 1e-293)):
+            with pytest.raises(ValidationError, match="^t: "):
+                propagator_normalization(params, t)
+
 
 @settings(deadline=None, max_examples=25)
 @given(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -225,6 +227,44 @@ def test_recurrence_matches_reference_tables():
         assert probability_2d(m1, max_diagonal, tol, min_diagonal) == (
             reference_probability_2d(m1, max_diagonal, tol, min_diagonal)
         )
+
+
+def test_weights_behave_as_fractions():
+    # the walk builds each weight without Fraction's gcd, since gcd(1, c) = 1;
+    # it must be Fraction(1, c) in type, value, hash, arithmetic and copying
+    rng = random.Random(11)
+    tables = [probability_1d(rng.randint(1, 3000), tol=10.0 ** rng.uniform(-80, -1))
+              for _ in range(4)]
+    tables += [probability_2d(rng.randint(1, 40), tol=10.0 ** rng.uniform(-20, -1))
+               for _ in range(3)]
+    for table in tables:
+        for entry in table.entries:
+            if len(entry.index) == 1:
+                want = Fraction(1, _comb_1d(table.m, *entry.index))
+            else:
+                want = Fraction(1, _comb_2d(table.m, *entry.index))
+            w = entry.weight
+            assert type(w) is Fraction and w == want and hash(w) == hash(want)
+            assert (w.numerator, w.denominator) == (1, want.denominator)
+            assert (w + w, w * 3, w - want, w / want) == (2 * want, 3 * want, 0, 1)
+            assert float(w) == float(want) and str(w) == str(want)
+            assert pickle.loads(pickle.dumps(w)) == want and copy.deepcopy(w) == want
+            assert entry == ProbabilityEntry(entry.index, want, entry.probability)
+
+
+def test_underflowing_probabilities_equal_the_division():
+    # the walk proves most of these entries round to 0.0 from bit lengths
+    # alone, without dividing; each must still be the correctly rounded quotient
+    for m1 in (10**30, 10**60):
+        table = probability_2d(m1, min_diagonal=20)
+        acc = table.normalization_exact.numerator
+        lcm = table.normalization_exact.denominator
+        zeros = 0
+        for entry in table.entries:
+            c = entry.weight.denominator
+            assert entry.probability == lcm / (c * acc), entry.index
+            zeros += entry.probability == 0.0
+        assert 0 < zeros < len(table.entries)
 
 
 @pytest.mark.parametrize("cap", range(1, 41))
