@@ -114,6 +114,14 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
     return kB * n_spins * (ln_2cosh - x * math.tanh(x))
 
 
+def _spin_count(ens: SpinEnsemble1D) -> float:
+    """N as a float; ValidationError("m") when N is past the float range."""
+    try:
+        return float(ens.n_spins)
+    except OverflowError:
+        raise ValidationError("m", "the spin count m + 2j is past the float range") from None
+
+
 def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     """Closed-form entropy from the populations, 0 for j = 0:
 
@@ -123,10 +131,8 @@ def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     """
     if ens.j == 0:
         return 0.0
-    try:
-        return kB * mixing_log_count(ens.n_up, ens.j)
-    except OverflowError:
-        raise ValidationError("m", "the population m+j is past the float range") from None
+    _spin_count(ens)  # the value is at most N ln 2, finite while N is
+    return kB * mixing_log_count(ens.n_up, ens.j)
 
 
 def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
@@ -138,7 +144,7 @@ def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     if ens.j == 0:
         return 0.0
     x = ens.beta * ens.E
-    return kB * ens.n_spins * (math.log(math.cosh(x)) - x * math.tanh(x))
+    return kB * _spin_count(ens) * (math.log(math.cosh(x)) - x * math.tanh(x))
 
 
 def energy_moments(ens: SpinEnsemble1D) -> MomentTriple:

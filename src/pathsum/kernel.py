@@ -398,8 +398,10 @@ def propagator_normalization(
     # propagator_closed at each point, its constants formed once
     two_variance = 2.0 * variance
     norm = math.sqrt(2.0 * math.pi * variance)
-    if not (norm < math.inf and half * half < math.inf):
-        raise ValidationError("t", f"the window's x^2 or 2 pi hbar t/M overflows at t = {t}")
+    if not norm < math.inf:
+        raise ValidationError("t", f"2 pi hbar t/M overflows at t = {t}")
+    if not half * half < math.inf:
+        raise ValidationError("half_width_sigmas", f"the square of a window end {half} overflows")
     # the two end values are equal: a Neumaier sum of them is their exact double
     partial, carry = 2.0 * (math.exp(-half * half / two_variance) / norm), 0.0
     for i in range(1, panels):

@@ -189,11 +189,17 @@ def test_huge_classes_report_finite_numbers_or_exit_2(capsys):
             if j == 0:
                 assert report.pop("beta") == report.pop("partition") == "inf"
             assert not any(v in ("inf", "-inf", "nan") for v in report.values()), (e, j)
-    # a population past the float range is rejected; a product of populations
+    # a spin count N past the float range is rejected, also where N ln 2 or
+    # kB N overflows but beta is a normal float; a product of populations
     # past it is not, since the entropy no longer forms one
-    ens = SpinEnsemble1D.from_path_class(PathClass1D(10**400, 1), 1.0)
-    with pytest.raises(ValidationError, match="^m: "):
-        ensemble_entropy_large_n(ens)
+    for m, j in ((10**400, 1), (10, 10**308), (10, 15 * 10**307)):
+        ens = SpinEnsemble1D.from_path_class(PathClass1D(m, j), 1.0)
+        for entropy in (ensemble_entropy_large_n, entropy_cosh_form):
+            with pytest.raises(ValidationError, match="^m: "):
+                entropy(ens)
+        assert main(["ensemble", "--m", str(m), "--j", str(j), "--kb", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid argument (m: "), (m, j)
     ens = SpinEnsemble1D.from_path_class(PathClass1D(10**206, 10**103), 1.0)
     assert ensemble_entropy_large_n(ens) == pytest.approx(_mp_entropy(10**206, 10**103), rel=1e-15)
 

@@ -584,8 +584,9 @@ class TestPropagator:
         for t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="t"):
                 propagator_normalization(NATURAL, t)
-        with pytest.raises(ValidationError, match="half_width_sigmas"):
-            propagator_normalization(NATURAL, 1.0, half_width_sigmas=1e308)
+        for half_width_sigmas in (1e308, 1e160):  # the window, or its end squared, overflows
+            with pytest.raises(ValidationError, match="^half_width_sigmas: "):
+                propagator_normalization(NATURAL, 1.0, half_width_sigmas=half_width_sigmas)
         with pytest.raises(ValidationError, match="t"):
             heat_residual(NATURAL, 0.0, 1e-3, 1e-3)
         with pytest.raises(ValidationError, match="h"):
@@ -611,8 +612,12 @@ class TestPropagator:
                 assert propagator_closed(params, x, t) == pytest.approx(float(want), rel=1e-14)
         with pytest.raises(ValidationError, match="^t: "):
             propagator_closed(PhysicalParams(M=5e-324, dx=1.0, dt=1.0, hbar=1e308), 0.0, 1e308)
-        # the Simpson window cannot square its ends there, and says so
+        # the Simpson window cannot square its ends there, and says so; past
+        # that, 2 pi hbar t/M itself overflows
         for params, t in ((wide, 1.0), (light, 1e-293)):
+            with pytest.raises(ValidationError, match="^half_width_sigmas: "):
+                propagator_normalization(params, t)
+        for params, t in ((wide, 10.0), (light, 1e-292)):
             with pytest.raises(ValidationError, match="^t: "):
                 propagator_normalization(params, t)
 
