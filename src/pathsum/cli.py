@@ -13,23 +13,24 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
-import json
 import math
 import os
 import sys
-import tempfile
-from decimal import Decimal
-from typing import NamedTuple
 
-from . import combinatorics, ensemble, kernel, stats
+# The library modules, and the heavier stdlib ones, are imported by the
+# functions that use them, so each subcommand loads only what it runs.
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     DivergenceError,
     PathClass1D,
     PathClassND,
     PhysicalParams,
     ResourceCapError,
     ValidationError,
+    _require_kb_product,
+    _require_positive,
     dimensionless_b,
     debroglie_limit,
 )
@@ -59,6 +60,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(target), prefix=".pathsum-", suffix=".tmp"
@@ -83,6 +86,8 @@ def _csv_table(columns, rows, comments, digits: int) -> str:
 
 
 def _write_json(path: str | None, payload) -> None:
+    import json
+
     _write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
@@ -128,17 +133,21 @@ def cmd_multiplicity(args) -> int:
     net = [m] + [0] * (args.dim - 1)
     if args.dim == 2 and args.m2 is not None:
         net[1] = args.m2
+    from . import combinatorics
+
     count = combinatorics.multiplicity(net, backward)
     report = {
         "count": count.exact,
         "log_count": count.log_value,
-        "entropy": args.kb * count.log_value,
+        "entropy": _require_kb_product(_require_positive("kB", args.kb) * count.log_value),
     }
     _emit_report(args, report)
     return 0
 
 
 def cmd_scan(args) -> int:
+    from . import kernel
+
     m_values = _parse_int_list(args.m_list, "--m-list")
     rows_raw = kernel.threshold_scan(m_values, args.b_min, args.b_max, args.points, args.tol)
     columns = ["m", "b", "bm", "sum", "limit", "ratio"]
@@ -163,6 +172,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_probs(args) -> int:
+    from . import stats
+
     m_values = _parse_int_list(args.m_list, "--m-list")
     columns = ["m", "j", "probability"]
     rows = []
@@ -187,6 +198,8 @@ def cmd_probs(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import combinatorics
+
     net = tuple(_parse_int_list(args.net, "--net"))
     counts = combinatorics.count_paths_by_flips(args.dim, net, args.total)
     sequences = combinatorics.enumerate_paths(args.dim, net, args.total, cap=args.cap)
@@ -244,6 +257,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    from . import combinatorics, ensemble
+
     ens = ensemble.SpinEnsemble1D.from_path_class(PathClass1D(args.m, args.j), args.E)
     entropy = ensemble.ensemble_entropy_large_n(ens, args.kb)
     cosh_form = ensemble.entropy_cosh_form(ens, args.kb)
@@ -279,6 +294,10 @@ def cmd_ensemble(args) -> int:
 def cmd_prob2d(args) -> int:
     if min(args.j, args.k) < 0:
         raise ValidationError("j" if args.j < 0 else "k", "must be >= 0")
+    from decimal import Decimal
+
+    from . import stats
+
     table = stats.probability_2d(args.m1, tol=args.tol, min_diagonal=args.j + args.k)
     entry = next(e for e in table.entries if e.index == (args.j, args.k))
     prob = entry.probability
@@ -302,11 +321,7 @@ def cmd_prob2d(args) -> int:
     return 0
 
 
-class _Check(NamedTuple):
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
+_Check = collections.namedtuple("_Check", "name passed measured tolerance")
 
 
 def _checks_core() -> list[_Check]:
@@ -331,6 +346,8 @@ def _checks_core() -> list[_Check]:
 
 
 def _checks_combinatorics() -> list[_Check]:
+    from . import combinatorics
+
     checks = []
     mismatches = 0
     for m in range(1, 5):
@@ -381,6 +398,8 @@ def _checks_combinatorics() -> list[_Check]:
 
 
 def _checks_kernel() -> list[_Check]:
+    from . import kernel
+
     checks = []
     worst = 0.0
     for m1 in (1, 2, 3):
@@ -436,6 +455,8 @@ def _checks_kernel() -> list[_Check]:
 
 
 def _checks_stats() -> list[_Check]:
+    from . import stats
+
     checks = []
     worst = 0.0
     last_p0 = 0.0
@@ -485,6 +506,8 @@ def _checks_stats() -> list[_Check]:
 
 
 def _checks_ensemble() -> list[_Check]:
+    from . import combinatorics, ensemble, stats
+
     checks = []
     worst = 0.0
     for m in range(1, 6):
@@ -655,7 +678,7 @@ _SUBCOMMANDS = {
         ("--dim", dict(type=int, choices=(1, 2, 3), required=True)),
         ("--net", dict(required=True, help="comma-separated net displacement")),
         ("--total", dict(type=int, required=True, help="total step count")),
-        ("--cap", dict(type=int, default=combinatorics.DEFAULT_ENUMERATION_CAP)),
+        ("--cap", dict(type=int, default=DEFAULT_ENUMERATION_CAP)),
         ("--flips", dict(default=None, help="only this backward-step class, e.g. 1,0")),
     )),
     "ensemble": ("two-level ensemble report for a 1D class", _REPORT, (

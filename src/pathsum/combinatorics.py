@@ -19,16 +19,18 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     BigCount,
     EnumerationCapError,
     PathClass1D,
     PathClassND,
     ValidationError,
     _require_int,
+    _require_kb_product,
+    _require_positive,
 )
 
 EXACT_STEP_LIMIT = 2000
-DEFAULT_ENUMERATION_CAP = 10**6
 
 _AXIS_NAMES = "xyz"
 LN2 = math.log(2.0)
@@ -180,16 +182,19 @@ def minimum_distance_count(m1: int, m2: int) -> BigCount:
 
 def entropy_1d(cls: PathClass1D, kB: float = 1.0) -> float:
     """Boltzmann entropy kB * ln W of a 1D path class."""
-    return kB * multiplicity_1d(cls).log_value
+    _require_positive("kB", kB)
+    return _require_kb_product(kB * multiplicity_1d(cls).log_value)
 
 
 def entropy_2d(m1: int, m2: int, j: int, k: int, kB: float = 1.0) -> float:
-    return kB * multiplicity_2d_full(m1, m2, j, k).log_value
+    _require_positive("kB", kB)
+    return _require_kb_product(kB * multiplicity_2d_full(m1, m2, j, k).log_value)
 
 
 def entropy_rate(cls: PathClass1D, kB: float = 1.0) -> float:
     """Entropy per step, kB * ln W / N. Approaches kB*ln 2 for j >> m."""
-    return kB * multiplicity_1d(cls).log_value / cls.n_steps
+    _require_positive("kB", kB)
+    return _require_kb_product(kB * multiplicity_1d(cls).log_value / cls.n_steps)
 
 
 @dataclass(frozen=True)

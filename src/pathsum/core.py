@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 DEFAULT_MAX_TERMS = 10**6
+DEFAULT_ENUMERATION_CAP = 10**6
 _MAX_TERMS_ENV = "PATHSUM_MAX_TERMS"
 
 
@@ -68,6 +69,15 @@ def _require_int(name: str, value) -> int:
 def _require_positive(name: str, value: float) -> float:
     if not 0 < value < math.inf:  # also false for NaN
         raise ValidationError(name, f"must be finite and > 0, got {value!r}")
+    return value
+
+
+def _require_kb_product(value: float) -> float:
+    """kB times a finite entropy in natural units, kB already checked."""
+    if not math.isfinite(value):
+        raise ValidationError(
+            "kB", f"the entropy in these units is past the float range, got {value!r}"
+        )
     return value
 
 

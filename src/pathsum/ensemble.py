@@ -24,6 +24,7 @@ from .core import (
     PathClassND,
     ValidationError,
     _require_int,
+    _require_kb_product,
     _require_positive,
 )
 
@@ -101,6 +102,7 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
     kB n (ln(2 cosh x) - x tanh x). This is the standard route against
     which the closed population form is cross-checked.
     """
+    _require_positive("kB", kB)
     _require_int("n_spins", n_spins)
     if n_spins < 1:
         raise ValidationError("n_spins", f"must be >= 1, got {n_spins}")
@@ -111,7 +113,7 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
     # ln(2 cosh x) = |x| + log1p(exp(-2|x|)) avoids overflow at large x
     ax = abs(x)
     ln_2cosh = ax + math.log1p(math.exp(-2.0 * ax))
-    return kB * n_spins * (ln_2cosh - x * math.tanh(x))
+    return _require_kb_product(kB * n_spins * (ln_2cosh - x * math.tanh(x)))
 
 
 def _spin_count(ens: SpinEnsemble1D) -> float:
@@ -129,10 +131,11 @@ def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     which is kB mixing_log_count(m+j, j) and has no cancelling terms.
     Algebraically identical to two_level_entropy(N, beta E).
     """
+    _require_positive("kB", kB)
     if ens.j == 0:
         return 0.0
     _spin_count(ens)  # the value is at most N ln 2, finite while N is
-    return kB * mixing_log_count(ens.n_up, ens.j)
+    return _require_kb_product(kB * mixing_log_count(ens.n_up, ens.j))
 
 
 def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
@@ -141,10 +144,13 @@ def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     Differs from the canonical entropy by -kB N ln 2 and is negative for
     any beta E > 0; exposed for comparison, not for thermodynamics.
     """
+    _require_positive("kB", kB)
     if ens.j == 0:
         return 0.0
     x = ens.beta * ens.E
-    return kB * _spin_count(ens) * (math.log(math.cosh(x)) - x * math.tanh(x))
+    return _require_kb_product(
+        kB * _spin_count(ens) * (math.log(math.cosh(x)) - x * math.tanh(x))
+    )
 
 
 def energy_moments(ens: SpinEnsemble1D) -> MomentTriple:
@@ -200,6 +206,15 @@ class SpinEnsemble2D:
         return 2 * self.k
 
 
+def _species_counts(ens: SpinEnsemble2D) -> tuple[float, float]:
+    """N1 and N2 as floats; ValidationError when one is past the float range."""
+    try:
+        return float(ens.n_species1), float(ens.n_species2)
+    except OverflowError:
+        name = "k" if ens.n_species2 > ens.n_species1 else "m1"
+        raise ValidationError(name, "a species count is past the float range") from None
+
+
 def restriction_check(ens: SpinEnsemble2D, tol: float = 1e-12) -> bool:
     """True when the transverse species is balanced: net magnetization <= tol.
 
@@ -226,7 +241,37 @@ def mixing_log_count(n1: int, n2: int) -> float:
         raise ValidationError("n1" if n1 < 0 else "n2", "must be >= 0")
     if n1 == 0 or n2 == 0:
         return 0.0
-    return n2 * math.log1p(n1 / n2) + n1 * math.log1p(n2 / n1)
+    try:
+        value = n2 * math.log1p(n1 / n2) + n1 * math.log1p(n2 / n1)
+    except OverflowError:  # a count or a count ratio is past the float range
+        value = _mixing_log_count_huge(n1, n2)
+    if value == math.inf:
+        raise ValidationError(
+            "n1" if n1 >= n2 else "n2", "the mixing log count is past the float range"
+        )
+    return value
+
+
+def _mixing_log_count_huge(n1: int, n2: int) -> float:
+    """mixing_log_count in log space, for counts or ratios past the float range.
+
+    With s <= b the two counts and y = s/b, the value is
+    s log1p(b/s) + b log1p(y) = s (log1p(b/s) + log1p(y)/y). log1p(b/s) is
+    log(b + s) - log(s) on the ints once b/s overflows, and log1p(y)/y is 1
+    once y underflows. The value is at least 2 s ln 2, so it is inf when s
+    is past the float range.
+    """
+    small, big = min(n1, n2), max(n1, n2)
+    try:
+        scale = float(small)
+    except OverflowError:
+        return math.inf
+    try:
+        log_ratio = math.log1p(big / small)
+    except OverflowError:
+        log_ratio = math.log(big + small) - math.log(small)
+    y = small / big  # in (0, 1]
+    return scale * (log_ratio + (math.log1p(y) / y if y else 1.0))
 
 
 def partition_2d(beta1: float, E1: float, beta2: float, E2: float) -> float:
@@ -240,14 +285,14 @@ def combined_partition_2d(ens: SpinEnsemble2D) -> float:
     N1 ln(2 cosh(beta1 E1)) + N2 ln(2 cosh(beta2 E2)) + mixing term.
     Kept in log space; the linear-scale value overflows floats for modest N.
     """
-    n1, n2 = ens.n_species1, ens.n_species2
     if math.isinf(ens.beta1):
         raise ValidationError("beta1", "log partition is infinite for j = 0")
+    n1, n2 = _species_counts(ens)
     log_z1 = math.log(partition_1d(ens.beta1, ens.E1))
     total = n1 * log_z1
     if n2 > 0:
         total += n2 * math.log(partition_1d(ens.beta2, ens.E2))
-        total += mixing_log_count(n1, n2)
+        total += mixing_log_count(ens.n_species1, ens.n_species2)
     return total
 
 
@@ -262,5 +307,6 @@ def ensemble_entropy_2d(ens: SpinEnsemble2D, kB: float = 1.0) -> float:
     s1 = ensemble_entropy_large_n(species1, kB)
     if ens.k == 0:
         return s1
-    n1, n2 = ens.n_species1, ens.n_species2
-    return s1 + kB * n2 * math.log(2.0) + kB * mixing_log_count(n1, n2)
+    n2 = _species_counts(ens)[1]
+    mixing = mixing_log_count(ens.n_species1, ens.n_species2)
+    return _require_kb_product(s1 + kB * n2 * math.log(2.0) + kB * mixing)

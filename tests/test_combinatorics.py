@@ -235,6 +235,29 @@ class TestEntropies:
     def test_entropy_2d_value(self):
         assert entropy_2d(2, 0, 0, 1) == pytest.approx(math.log(12.0), rel=1e-15)
 
+    @pytest.mark.parametrize("kB", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_kb_must_be_finite_and_positive(self, kB):
+        cls = PathClass1D(3, 1)
+        for call in (
+            lambda: entropy_1d(cls, kB=kB),
+            lambda: entropy_2d(3, 0, 1, 1, kB=kB),
+            lambda: entropy_rate(cls, kB=kB),
+        ):
+            with pytest.raises(ValidationError, match="^kB: must be finite"):
+                call()
+
+    def test_kb_product_past_the_float_range(self):
+        cls = PathClass1D(1000, 1000)
+        for call in (
+            lambda: entropy_1d(cls, kB=1e308),
+            lambda: entropy_2d(1000, 0, 1000, 0, kB=1e308),
+            lambda: entropy_rate(cls, kB=1e308),
+        ):
+            with pytest.raises(ValidationError, match="^kB: .*past the float range"):
+                call()
+        # a product that stays finite is unchanged
+        assert entropy_1d(PathClass1D(3, 0), kB=1e308) == 0.0
+
     def test_entropy_rate_large_j(self):
         # reference value computed with 60-digit loggamma
         rate = entropy_rate(PathClass1D(2, 10**6))

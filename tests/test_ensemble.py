@@ -32,6 +32,13 @@ from pathsum.cli import main
 KB = 1.380649e-23
 
 
+def _size_id(value):
+    # a short test id for a huge int
+    if isinstance(value, int) and value > 10**6:
+        return f"~1e{len(str(value)) - 1}"
+    return None
+
+
 def _mp_entropy(m, j):
     """(m+j) ln(N/(m+j)) + j ln(N/j) with N = m + 2j, to 30 digits past N's."""
     n = m + 2 * j
@@ -352,6 +359,39 @@ class TestTwoSpecies:
         assert mixing_log_count(4, 2) == mixing_log_count(2, 4)
         assert mixing_log_count(5, 0) == 0.0
 
+    @pytest.mark.parametrize(
+        "n1, n2",
+        [(10**400, 1), (1, 10**400), (10**400, 12345), (10**600, 10**300),
+         (10**308 * 3, 10**5), (10**1000, 10**300)],
+        ids=_size_id,
+    )
+    def test_mixing_term_past_float_counts_matches_mpmath(self, n1, n2):
+        # the ratio n1/n2 or a count itself is past the float range
+        with mp.workdps(60):
+            a, b = mp.mpf(n1), mp.mpf(n2)
+            expected = float(b * mp.log1p(a / b) + a * mp.log1p(b / a))
+        assert mixing_log_count(n1, n2) == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize(
+        "n1, n2, name",
+        [(10**309, 10**309, "n1"), (10**309, 10**400, "n2"), (15 * 10**307, 15 * 10**307, "n1")],
+        ids=_size_id,
+    )
+    def test_mixing_term_past_the_float_range(self, n1, n2, name):
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            mixing_log_count(n1, n2)
+
+    def test_huge_transverse_species(self):
+        # k = 10^400: 2k ln 2 alone is past the float range
+        ens = SpinEnsemble2D.from_path_class(PathClassND(2, 1, 10**400), 1.0, 1.0)
+        for call in (combined_partition_2d, ensemble_entropy_2d):
+            with pytest.raises(ValidationError, match="^k: "):
+                call(ens)
+        # k = 10^150 stays in range: 2k ln 2 dominates
+        ens = SpinEnsemble2D.from_path_class(PathClassND(2, 1, 10**150), 1.0, 1.0)
+        assert ensemble_entropy_2d(ens) == pytest.approx(2e150 * math.log(2.0), rel=1e-12)
+        assert combined_partition_2d(ens) == pytest.approx(2e150 * math.log(2.0), rel=1e-12)
+
     def test_combined_partition_value(self):
         # reference value from 60-digit evaluation
         ens = SpinEnsemble2D.from_path_class(PathClassND(2, 1, 1), 1.0, 1.0)
@@ -405,3 +445,45 @@ class TestEntropy2D:
         assert ensemble_entropy_2d(ens, kB=KB) == pytest.approx(
             KB * ensemble_entropy_2d(ens), rel=1e-15
         )
+
+
+class TestBoltzmannConstant:
+    ENS = SpinEnsemble1D.from_path_class(PathClass1D(3, 1), 1.0)
+    ENS2 = SpinEnsemble2D.from_path_class(PathClassND(3, 1, 1), 1.0, 1.0)
+
+    def _entropies(self, kB):
+        return (
+            lambda: two_level_entropy(4, 0.5, kB=kB),
+            lambda: ensemble_entropy_large_n(self.ENS, kB=kB),
+            lambda: entropy_cosh_form(self.ENS, kB=kB),
+            lambda: ensemble_entropy_2d(self.ENS2, kB=kB),
+        )
+
+    @pytest.mark.parametrize("kB", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_kb_must_be_finite_and_positive(self, kB):
+        for call in self._entropies(kB):
+            with pytest.raises(ValidationError, match="^kB: must be finite"):
+                call()
+
+    def test_kb_product_past_the_float_range(self):
+        big = SpinEnsemble1D.from_path_class(PathClass1D(10**20, 10**19), 1.0)
+        for call in (
+            lambda: two_level_entropy(10**300, 0.5, kB=1e300),
+            lambda: ensemble_entropy_large_n(big, kB=1e300),
+            lambda: entropy_cosh_form(big, kB=1e300),
+            lambda: ensemble_entropy_2d(self.ENS2, kB=1.7e308),
+        ):
+            with pytest.raises(ValidationError, match="^kB: .*past the float range"):
+                call()
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--m", "3", "--j", "1", "--kb", "inf"],
+        ["ensemble", "--m", "3", "--j", "1", "--kb", "-1"],
+        ["ensemble", "--m", str(10**20), "--j", str(10**19), "--kb", "1e300"],
+        ["multiplicity", "--m", "3", "--j", "1", "--kb", "nan"],
+        ["multiplicity", "--m", "1000", "--j", "1000", "--kb", "1e308"],
+    ])
+    def test_cli_rejects_bad_kb(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid argument (kB: "), argv
