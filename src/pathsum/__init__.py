@@ -4,7 +4,8 @@ The package splits along the quantities it computes. combinatorics counts
 walks by class, kernel evaluates the Gaussian-weighted sums over classes
 with certified truncation, stats turns inverse-multiplicity weights into
 probability tables, and ensemble maps classes onto two-level systems.
-core holds the shared value objects; cli is the command-line front end.
+core holds the shared value objects; checks holds the identities that
+``pathsum validate`` recomputes at run time; cli is the command-line front end.
 
 ``import pathsum`` loads core alone. Every other public name, and each of
 the four submodules, is imported on first access (``pathsum.kernel_sum_1d``

@@ -25,6 +25,7 @@ from .core import (
     PathClass1D,
     PathClassND,
     ValidationError,
+    _as_float,
     _require_int,
     _require_kb_product,
     _require_positive,
@@ -194,7 +195,7 @@ def entropy_2d(m1: int, m2: int, j: int, k: int, kB: float = 1.0) -> float:
 def entropy_rate(cls: PathClass1D, kB: float = 1.0) -> float:
     """Entropy per step, kB * ln W / N. Approaches kB*ln 2 for j >> m."""
     _require_positive("kB", kB)
-    return _require_kb_product(kB * multiplicity_1d(cls).log_value / cls.n_steps)
+    return _require_kb_product(kB * multiplicity_1d(cls).log_value / _as_float("m", cls.n_steps))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_MAX_TERMS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -70,6 +70,15 @@ def _require_positive(name: str, value: float) -> float:
     if not 0 < value < math.inf:  # also false for NaN
         raise ValidationError(name, f"must be finite and > 0, got {value!r}")
     return value
+
+
+def _as_float(name: str, value: int) -> float:
+    """An int as a float; ValidationError(name) when it is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        bits = value.bit_length()
+        raise ValidationError(name, f"a {bits}-bit integer is past the float range") from None
 
 
 def _require_kb_product(value: float) -> float:
@@ -161,29 +170,18 @@ class PathClassND:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Mass, lattice spacings, time step, and constants, all caller-supplied.
-
-    dy defaults to dx (isotropic lattice). kB defaults to 1 so natural-unit
-    work needs no boilerplate; SI callers pass their own values.
-    """
+    """Mass, lattice spacing, time step, and hbar, all caller-supplied."""
 
     M: float
     dx: float
     dt: float
     hbar: float
-    kB: float = 1.0
-    dy: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         _require_positive("M", self.M)
         _require_positive("dx", self.dx)
         _require_positive("dt", self.dt)
         _require_positive("hbar", self.hbar)
-        _require_positive("kB", self.kB)
-        if self.dy is None:
-            object.__setattr__(self, "dy", self.dx)
-        else:
-            _require_positive("dy", self.dy)
 
     @property
     def step_action(self) -> float:

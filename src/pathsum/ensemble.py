@@ -23,6 +23,7 @@ from .core import (
     PathClass1D,
     PathClassND,
     ValidationError,
+    _as_float,
     _require_int,
     _require_kb_product,
     _require_positive,
@@ -113,15 +114,7 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
     # ln(2 cosh x) = |x| + log1p(exp(-2|x|)) avoids overflow at large x
     ax = abs(x)
     ln_2cosh = ax + math.log1p(math.exp(-2.0 * ax))
-    return _require_kb_product(kB * n_spins * (ln_2cosh - x * math.tanh(x)))
-
-
-def _spin_count(ens: SpinEnsemble1D) -> float:
-    """N as a float; ValidationError("m") when N is past the float range."""
-    try:
-        return float(ens.n_spins)
-    except OverflowError:
-        raise ValidationError("m", "the spin count m + 2j is past the float range") from None
+    return _require_kb_product(kB * _as_float("n_spins", n_spins) * (ln_2cosh - x * math.tanh(x)))
 
 
 def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
@@ -134,7 +127,7 @@ def ensemble_entropy_large_n(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
     _require_positive("kB", kB)
     if ens.j == 0:
         return 0.0
-    _spin_count(ens)  # the value is at most N ln 2, finite while N is
+    _as_float("m", ens.n_spins)  # the value is at most N ln 2, finite while N is
     return _require_kb_product(kB * mixing_log_count(ens.n_up, ens.j))
 
 
@@ -149,7 +142,7 @@ def entropy_cosh_form(ens: SpinEnsemble1D, kB: float = 1.0) -> float:
         return 0.0
     x = ens.beta * ens.E
     return _require_kb_product(
-        kB * _spin_count(ens) * (math.log(math.cosh(x)) - x * math.tanh(x))
+        kB * _as_float("m", ens.n_spins) * (math.log(math.cosh(x)) - x * math.tanh(x))
     )
 
 
@@ -206,13 +199,22 @@ class SpinEnsemble2D:
         return 2 * self.k
 
 
+def _species_name(ens: SpinEnsemble2D) -> str:
+    """The argument of the larger species, named when a value leaves the float range."""
+    return "k" if ens.n_species2 > ens.n_species1 else "m1"
+
+
 def _species_counts(ens: SpinEnsemble2D) -> tuple[float, float]:
     """N1 and N2 as floats; ValidationError when one is past the float range."""
-    try:
-        return float(ens.n_species1), float(ens.n_species2)
-    except OverflowError:
-        name = "k" if ens.n_species2 > ens.n_species1 else "m1"
-        raise ValidationError(name, "a species count is past the float range") from None
+    name = _species_name(ens)
+    return _as_float(name, ens.n_species1), _as_float(name, ens.n_species2)
+
+
+def _require_finite_log(ens: SpinEnsemble2D, total: float) -> float:
+    """A sum of non-negative terms in natural units; ValidationError if it is inf."""
+    if total == math.inf:
+        raise ValidationError(_species_name(ens), "the sum is past the float range")
+    return total
 
 
 def restriction_check(ens: SpinEnsemble2D, tol: float = 1e-12) -> bool:
@@ -284,6 +286,8 @@ def combined_partition_2d(ens: SpinEnsemble2D) -> float:
 
     N1 ln(2 cosh(beta1 E1)) + N2 ln(2 cosh(beta2 E2)) + mixing term.
     Kept in log space; the linear-scale value overflows floats for modest N.
+    Raises ValidationError naming the larger species (m1 or k) when the
+    log is past the float range.
     """
     if math.isinf(ens.beta1):
         raise ValidationError("beta1", "log partition is infinite for j = 0")
@@ -293,7 +297,7 @@ def combined_partition_2d(ens: SpinEnsemble2D) -> float:
     if n2 > 0:
         total += n2 * math.log(partition_1d(ens.beta2, ens.E2))
         total += mixing_log_count(ens.n_species1, ens.n_species2)
-    return total
+    return _require_finite_log(ens, total)
 
 
 def ensemble_entropy_2d(ens: SpinEnsemble2D, kB: float = 1.0) -> float:
@@ -302,11 +306,16 @@ def ensemble_entropy_2d(ens: SpinEnsemble2D, kB: float = 1.0) -> float:
 
     s1 is the 1D closed form; the balanced species contributes kB N2 ln 2;
     interleaving adds kB times the mixing log count. k = 0 reduces to s1.
+    Raises ValidationError naming the larger species (m1 or k) when the
+    entropy in natural units is past the float range, and "kB" when only
+    its product with kB is.
     """
+    _require_positive("kB", kB)
     species1 = SpinEnsemble1D(m=ens.m1, j=ens.j, E=ens.E1, beta=ens.beta1)
-    s1 = ensemble_entropy_large_n(species1, kB)
     if ens.k == 0:
-        return s1
+        return ensemble_entropy_large_n(species1, kB)
+    s1 = ensemble_entropy_large_n(species1)  # in natural units
     n2 = _species_counts(ens)[1]
     mixing = mixing_log_count(ens.n_species1, ens.n_species2)
-    return _require_kb_product(s1 + kB * n2 * math.log(2.0) + kB * mixing)
+    _require_finite_log(ens, s1 + n2 * math.log(2.0) + mixing)
+    return _require_kb_product(kB * s1 + kB * n2 * math.log(2.0) + kB * mixing)

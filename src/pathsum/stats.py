@@ -37,6 +37,7 @@ from .core import (
     PathClass1D,
     SeriesCapError,
     ValidationError,
+    _as_float,
     _require_int,
     _require_tol,
     max_series_terms,
@@ -202,7 +203,8 @@ def probability_1d_alt(m: int, j: int) -> float:
         return 1.0
     n = cls.n_steps
     log_w = multiplicity_1d(cls).log_value
-    log_p = log_w + cls.n_up * math.log(cls.n_up / n) + j * math.log(j / n)
+    n_up = _as_float("m", cls.n_up)  # then j <= n_up converts too
+    log_p = log_w + n_up * math.log(cls.n_up / n) + j * math.log(j / n)
     return math.exp(log_p)
 
 
@@ -250,7 +252,8 @@ def moments_1d(cls: PathClass1D, dx=1.0) -> MomentTriple:
     mean = m dx, mean_square = N^2 dx^2, variance = 4 j (m+j) dx^2. Exact
     inputs (int or Fraction dx) give exact outputs; floats give floats.
     """
-    mean = cls.m * dx
-    mean_square = cls.n_steps * cls.n_steps * dx * dx
-    variance = 4 * cls.j * (cls.m + cls.j) * dx * dx
-    return MomentTriple(mean=mean, mean_square=mean_square, variance=variance)
+    ints = (cls.m, cls.n_steps * cls.n_steps, 4 * cls.j * (cls.m + cls.j))
+    if isinstance(dx, float):  # a float product converts each int; name the one too big
+        ints = [_as_float("j" if cls.j > cls.m else "m", value) for value in ints]
+    mean, square, variance = ints
+    return MomentTriple(mean=mean * dx, mean_square=square * dx * dx, variance=variance * dx * dx)

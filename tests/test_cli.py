@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import pathsum
-from pathsum import cli
+from pathsum import checks, cli
 from pathsum.cli import _SUBCOMMANDS, build_parser, main
 
 
@@ -323,6 +323,17 @@ class TestValidate:
         assert all(check["passed"] for check in payload["checks"])
         assert {check["scope"] for check in payload["checks"]} == {"kernel"}
 
+    def test_scope_choices_are_the_registry(self):
+        assert cli._SCOPES == tuple(checks.SCOPES)
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        failed = checks.Check("forced", False, 0.5, 0.1)
+        monkeypatch.setitem(checks.SCOPES, "stats", lambda: [failed])
+        code, out, err = run_cli(capsys, ["validate", "--scope", "stats"])
+        assert code == 1
+        assert out == "FAIL stats.forced measured=0.5 tolerance=0.1\nall_passed=False\n"
+        assert err == "validation failed: stats.forced\n"
+
 
 class TestOutputHandling:
     def test_atomic_file_write(self, capsys, tmp_path):
@@ -409,7 +420,7 @@ def test_module_entry_point():
 # Modules that a subcommand should load only when it uses them.
 _WATCHED = (
     "pathsum.combinatorics", "pathsum.kernel", "pathsum.stats", "pathsum.ensemble",
-    "fractions", "decimal", "json", "tempfile", "typing",
+    "pathsum.checks", "fractions", "decimal", "json", "tempfile", "typing",
 )
 # Runs each step in turn and prints, one line per step, the watched modules it loaded.
 _IMPORT_PROBE = """
@@ -450,7 +461,7 @@ _SUBCOMMAND_IMPORTS = [
     (["probs", "--m-list", "2"], _TABLES),
     (["prob2d", "--m1", "1", "--j", "1", "--k", "0"], _TABLES),
     (["ensemble", "--m", "3", "--j", "1"], {"pathsum.ensemble", "pathsum.combinatorics"}),
-    (["validate"], {*_TABLES, "pathsum.kernel", "pathsum.ensemble"}),
+    (["validate"], {*_TABLES, "pathsum.kernel", "pathsum.ensemble", "pathsum.checks"}),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import pathsum
 from pathsum import (
     BigCount,
     DeBroglieCheck,
@@ -83,13 +84,12 @@ class TestPhysicalParams:
         params = PhysicalParams(M=2.0, dx=1.0, dt=1.0, hbar=1.0)
         assert params.b == 1.0
         assert params.step_action == 1.0
-        assert params.kB == 1.0
 
-    def test_dy_defaults_to_dx(self):
-        params = PhysicalParams(M=1.0, dx=0.5, dt=1.0, hbar=1.0)
-        assert params.dy == 0.5
-        aniso = PhysicalParams(M=1.0, dx=0.5, dt=1.0, hbar=1.0, dy=0.25)
-        assert aniso.dy == 0.25
+    def test_has_no_kb_or_dy(self):
+        # entropies take their own kB, and no code reads a second spacing
+        for extra in (dict(kB=1.38e-23), dict(dy=0.5)):
+            with pytest.raises(TypeError):
+                PhysicalParams(M=1.0, dx=1.0, dt=1.0, hbar=1.0, **extra)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -106,8 +106,8 @@ class TestPhysicalParams:
         ("dx", dict(M=1.0, dx=-1.0, dt=1.0, hbar=1.0)),
         ("dt", dict(M=1.0, dx=1.0, dt=0.0, hbar=1.0)),
         ("hbar", dict(M=1.0, dx=1.0, dt=1.0, hbar=0.0)),
-        ("kB", dict(M=1.0, dx=1.0, dt=1.0, hbar=1.0, kB=-2.0)),
-        ("dy", dict(M=1.0, dx=1.0, dt=1.0, hbar=1.0, dy=0.0)),
+        ("hbar", dict(M=1.0, dx=1.0, dt=1.0, hbar=math.nan)),
+        ("dt", dict(M=1.0, dx=1.0, dt=-math.inf, hbar=1.0)),
         ("M", dict(M=math.inf, dx=1.0, dt=1.0, hbar=1.0)),
     ])
     def test_rejects_nonpositive(self, field, kwargs):
@@ -173,3 +173,23 @@ class TestSeriesCap:
         monkeypatch.setenv("PATHSUM_MAX_TERMS", raw)
         with pytest.raises(ValidationError, match="PATHSUM_MAX_TERMS"):
             max_series_terms()
+
+
+# Ints past the float range that a function would convert to form its float
+# result: it names the argument instead of raising OverflowError.
+@pytest.mark.parametrize("function, args, name", [
+    ("entropy_rate", (PathClass1D(10**400, 10),), "m"),
+    ("probability_1d_alt", (10**400, 10), "m"),
+    ("moments_1d", (PathClass1D(10**400, 10), 0.0), "m"),
+    ("moments_1d", (PathClass1D(10**200, 0), 1.0), "m"),  # N^2 alone overflows
+    ("moments_1d", (PathClass1D(1, 10**400), 0.0), "j"),
+    ("two_level_entropy", (10**400, 0.3), "n_spins"),
+])
+def test_huge_ints_raise_validation_error(function, args, name):
+    with pytest.raises(ValidationError, match=f"^{name}: "):
+        getattr(pathsum, function)(*args)
+
+
+def test_exact_moments_of_huge_classes_stay_exact():
+    moments = pathsum.moments_1d(PathClass1D(10**400, 10), 1)
+    assert (moments.mean, moments.variance) == (10**400, 40 * (10**400 + 10))

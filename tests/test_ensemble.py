@@ -392,6 +392,14 @@ class TestTwoSpecies:
         assert ensemble_entropy_2d(ens) == pytest.approx(2e150 * math.log(2.0), rel=1e-12)
         assert combined_partition_2d(ens) == pytest.approx(2e150 * math.log(2.0), rel=1e-12)
 
+    def test_sum_over_species_past_the_float_range(self):
+        # each count is a float, but N1 ln(2 cosh) + N2 ln 2 + mixing is not;
+        # the entropy in natural units overflows at kB = 1 already
+        ens = SpinEnsemble2D.from_path_class(PathClassND(2, 5 * 10**307, 5 * 10**307), 1e-300, 1.0)
+        for call in (combined_partition_2d, ensemble_entropy_2d):
+            with pytest.raises(ValidationError, match="^m1: "):
+                call(ens)
+
     def test_combined_partition_value(self):
         # reference value from 60-digit evaluation
         ens = SpinEnsemble2D.from_path_class(PathClassND(2, 1, 1), 1.0, 1.0)
