@@ -26,6 +26,7 @@ from .core import (
     PathClass1D,
     ResourceCapError,
     ValidationError,
+    _require_int,
     _require_kb_product,
     _require_positive,
 )
@@ -123,8 +124,7 @@ def cmd_multiplicity(args) -> int:
     if missing:
         raise ValidationError(f"--{missing[0]}", "required for this dimension")
     m, *backward = (getattr(args, name) for name in flags)
-    if m < 1:
-        raise ValidationError(flags[0], f"net displacement must be >= 1, got {m}")
+    _require_int(flags[0], m, 1)
     # --m2 is the second-axis displacement of a 2D class; other axes net zero
     net = [m] + [0] * (args.dim - 1)
     if args.dim == 2 and args.m2 is not None:
@@ -197,10 +197,11 @@ def cmd_paths(args) -> int:
     from . import combinatorics
 
     net = tuple(_parse_int_list(args.net, "--net"))
-    counts = combinatorics.count_paths_by_flips(args.dim, net, args.total)
+    # the cap is checked from closed-form counts before any walk or DP is formed
     sequences = combinatorics.enumerate_paths(args.dim, net, args.total, cap=args.cap)
 
     # cross-check the materialized walks against the independent counts
+    counts = combinatorics.count_paths_by_flips(args.dim, net, args.total)
     if len(sequences) != sum(counts.values()):
         print(
             f"error: internal count mismatch: {len(sequences)} materialized,"
@@ -288,8 +289,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_prob2d(args) -> int:
-    if min(args.j, args.k) < 0:
-        raise ValidationError("j" if args.j < 0 else "k", "must be >= 0")
+    _require_int("j", args.j, 0)
+    _require_int("k", args.k, 0)
+    if args.reference_pct is not None:
+        _require_positive("reference_pct", args.reference_pct)
     from decimal import Decimal
 
     from . import stats
@@ -312,7 +315,10 @@ def cmd_prob2d(args) -> int:
     }
     if args.reference_pct is not None:
         report["reference_percent"] = args.reference_pct
-        report["ratio_vs_reference"] = (100.0 * prob) / args.reference_pct
+        ratio = (100.0 * prob) / args.reference_pct
+        if ratio == math.inf:
+            raise ValidationError("reference_pct", f"the ratio to {args.reference_pct!r} overflows")
+        report["ratio_vs_reference"] = ratio
     _emit_report(args, report)
     return 0
 

@@ -84,17 +84,22 @@ def _log_multinomial(total: int, parts: tuple[int, ...]) -> float:
     return log_value
 
 
+def _binomial_product(parts) -> int:
+    """sum(parts)! / prod(part!) exactly: each part chooses its places among the rest."""
+    exact, placed = 1, 0
+    for p in parts:
+        placed += p
+        exact *= math.comb(placed, p)
+    return exact
+
+
 def _multinomial(total: int, parts: tuple[int, ...]) -> BigCount:
     """total! / prod(part!) as a BigCount. parts must sum to total.
 
     Exact up to EXACT_STEP_LIMIT steps, and only its logarithm above.
     """
     if total <= EXACT_STEP_LIMIT:
-        # a product of binomials: each part chooses its places among the rest
-        exact, placed = 1, 0
-        for p in parts:
-            placed += p
-            exact *= math.comb(placed, p)
+        exact = _binomial_product(parts)
         return BigCount(log_value=math.log(exact), exact=exact)
     log_value = _log_multinomial(total, parts)
     if log_value == math.inf:
@@ -112,14 +117,12 @@ def multiplicity(net, backward) -> BigCount:
     """
     net, backward = tuple(net), tuple(backward)
     if not net or len(backward) != len(net):
-        raise ValidationError("net", f"need one backward count per axis, got {net}, {backward}")
+        raise ValidationError(
+            "net", f"need one backward count per axis, got {len(net)} and {len(backward)}"
+        )
     parts = []
     for m, b in zip(net, backward):
-        for name, value in (("net", m), ("backward", b)):
-            _require_int(name, value)
-            if value < 0:
-                raise ValidationError(name, f"components must be >= 0, got {value}")
-        parts += (m + b, b)
+        parts += (_require_int("net", m, 0) + _require_int("backward", b, 0), b)
     return _multinomial(sum(parts), tuple(parts))
 
 
@@ -134,18 +137,10 @@ def multiplicity_1d(cls: PathClass1D) -> BigCount:
 
 def multiplicity_2d_full(m1: int, m2: int, j: int, k: int) -> BigCount:
     """2D walks with net displacement (m1, m2), j and k backward steps per axis."""
-    _require_int("m1", m1)
-    _require_int("m2", m2)
-    _require_int("j", j)
-    _require_int("k", k)
-    if m1 < 1:
-        raise ValidationError("m1", f"must be >= 1, got {m1}")
-    if m2 < 0:
-        raise ValidationError("m2", f"must be >= 0, got {m2}")
-    if j < 0:
-        raise ValidationError("j", f"must be >= 0, got {j}")
-    if k < 0:
-        raise ValidationError("k", f"must be >= 0, got {k}")
+    _require_int("m1", m1, 1)
+    _require_int("m2", m2, 0)
+    _require_int("j", j, 0)
+    _require_int("k", k, 0)
     total = m1 + m2 + 2 * j + 2 * k
     return _multinomial(total, (m1 + j, j, m2 + k, k))
 
@@ -172,11 +167,7 @@ def multiplicity_3d(cls: PathClassND) -> BigCount:
 
 def minimum_distance_count(m1: int, m2: int) -> BigCount:
     """Shortest 2D walks to (m1, m2): (m1+m2)!/(m1! m2!), no wasted steps."""
-    _require_int("m1", m1)
-    _require_int("m2", m2)
-    if m1 < 0 or m2 < 0:
-        raise ValidationError("m1" if m1 < 0 else "m2", "must be >= 0")
-    if m1 + m2 < 1:
+    if _require_int("m1", m1, 0) + _require_int("m2", m2, 0) < 1:
         raise ValidationError("m1", "need a nonzero displacement")
     return _multinomial(m1 + m2, (m1, m2))
 
@@ -225,26 +216,20 @@ class StepSequence:
 
 
 def _check_walk_args(dimension: int, net, total_steps: int) -> tuple[int, ...]:
-    _require_int("dimension", dimension)
-    if dimension not in (1, 2, 3):
-        raise ValidationError("dimension", f"must be 1, 2, or 3, got {dimension}")
+    # messages show only bounded ints; one past the int -> str digit limit would raise
+    if _require_int("dimension", dimension) not in (1, 2, 3):
+        raise ValidationError("dimension", "must be 1, 2, or 3")
     net = tuple(net)
     if len(net) != dimension:
         raise ValidationError("net", f"needs {dimension} components, got {len(net)}")
     for comp in net:
-        _require_int("net", comp)
-        if comp < 0:
-            raise ValidationError("net", f"components must be >= 0, got {comp}")
+        _require_int("net", comp, 0)
     _require_int("total_steps", total_steps)
     span = sum(net)
     if total_steps < span:
-        raise ValidationError(
-            "total_steps", f"{total_steps} steps cannot reach displacement {net}"
-        )
+        raise ValidationError("total_steps", "too few steps to reach the displacement")
     if (total_steps - span) % 2 != 0:
-        raise ValidationError(
-            "total_steps", f"parity mismatch: {total_steps} steps, displacement {net}"
-        )
+        raise ValidationError("total_steps", "parity mismatch with the displacement")
     return net
 
 
@@ -286,18 +271,24 @@ def enumerate_paths(
     """Materialize every walk reaching `net` in `total_steps`, in a fixed order.
 
     Steps are generated in the move order +x, -x, +y, -y, +z, -z, so the
-    output is deterministic. The total count is computed first; if it would
-    exceed `cap`, EnumerationCapError is raised rather than truncating.
+    output is deterministic. The closed-form class counts are summed first,
+    stopping as soon as the sum passes `cap`; EnumerationCapError is then
+    raised rather than truncating, before any walk is generated.
     """
     net = _check_walk_args(dimension, net, total_steps)
-    _require_int("cap", cap)
-    if cap < 1:
-        raise ValidationError("cap", f"must be >= 1, got {cap}")
-    total = sum(count_paths_by_flips(dimension, net, total_steps).values())
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} sequences for net={net}, steps={total_steps} exceeds cap {cap}"
-        )
+    _require_int("cap", cap, 1)
+    spare = (total_steps - sum(net)) // 2  # backward steps, split among the axes
+    log_cap = math.log(cap) + 1  # far wider than the error of the log count
+    count = 0
+    for j in range(spare + 1 if dimension == 3 else 1):
+        for k in range(spare - j + 1 if dimension >= 2 else 1):
+            backward = (j, k, spare - j - k)[3 - dimension :]
+            parts = tuple(x for m, b in zip(net, backward) for x in (m + b, b))
+            # a class far past cap is not formed exactly: it may not fit in memory
+            far = total_steps and _log_multinomial(total_steps, parts) > log_cap
+            count += cap + 1 if far else _binomial_product(parts)
+            if count > cap:
+                raise EnumerationCapError(f"more than {cap} sequences")
 
     moves = [(axis, sign) for axis in range(dimension) for sign in (+1, -1)]
     out: list[StepSequence] = []

@@ -59,10 +59,17 @@ def max_series_terms() -> int:
     return cap
 
 
-def _require_int(name: str, value) -> int:
+def _require_int(name: str, value, minimum: int | None = None) -> int:
+    """value if it is an int (not a bool) and, when a minimum is given, >= minimum."""
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(name, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        try:
+            shown = str(value)
+        except ValueError:  # past the int -> str digit limit, so far below any minimum
+            shown = f"a {value.bit_length()}-bit negative integer"
+        raise ValidationError(name, f"must be >= {minimum}, got {shown}")
     return value
 
 
@@ -109,12 +116,8 @@ class PathClass1D:
     j: int
 
     def __post_init__(self):
-        _require_int("m", self.m)
-        _require_int("j", self.j)
-        if self.m < 1:
-            raise ValidationError("m", f"net displacement must be >= 1, got {self.m}")
-        if self.j < 0:
-            raise ValidationError("j", f"backward-step count must be >= 0, got {self.j}")
+        _require_int("m", self.m, 1)
+        _require_int("j", self.j, 0)
 
     @property
     def n_steps(self) -> int:
@@ -144,19 +147,11 @@ class PathClassND:
     l: int | None = None
 
     def __post_init__(self):
-        _require_int("m1", self.m1)
-        _require_int("j", self.j)
-        _require_int("k", self.k)
-        if self.m1 < 1:
-            raise ValidationError("m1", f"net displacement must be >= 1, got {self.m1}")
-        if self.j < 0:
-            raise ValidationError("j", f"must be >= 0, got {self.j}")
-        if self.k < 0:
-            raise ValidationError("k", f"must be >= 0, got {self.k}")
+        _require_int("m1", self.m1, 1)
+        _require_int("j", self.j, 0)
+        _require_int("k", self.k, 0)
         if self.l is not None:
-            _require_int("l", self.l)
-            if self.l < 0:
-                raise ValidationError("l", f"must be >= 0, got {self.l}")
+            _require_int("l", self.l, 0)
 
     @property
     def dimension(self) -> int:
@@ -237,15 +232,11 @@ class BigCount:
 
     def __post_init__(self):
         if self.exact is not None:
-            _require_int("exact", self.exact)
-            if self.exact < 1:
-                raise ValidationError("exact", f"count must be >= 1, got {self.exact}")
+            _require_int("exact", self.exact, 1)
 
     @classmethod
     def from_exact(cls, n: int) -> "BigCount":
-        _require_int("exact", n)
-        if n < 1:
-            raise ValidationError("exact", f"count must be >= 1, got {n}")
+        _require_int("exact", n, 1)
         # math.log accepts arbitrary-size ints directly
         count = cls.from_log(math.log(n))
         object.__setattr__(count, "exact", n)

@@ -57,11 +57,23 @@ def beta_for_path(m: int, j: int, E: float) -> float:
 
 
 def partition_1d(beta: float, E: float) -> float:
-    """Single-spin partition function 2 cosh(beta E)."""
+    """Single-spin partition function 2 cosh(beta E).
+
+    beta = inf, the ordered case j = 0, gives inf. Any other beta whose
+    2 cosh(beta E) is past the float range raises ValidationError("beta").
+    """
     _require_positive("E", E)
     if math.isnan(beta):
         raise ValidationError("beta", "must not be NaN")
-    return 2.0 * math.cosh(beta * E)
+    if beta == math.inf:
+        return math.inf
+    try:
+        value = 2.0 * math.cosh(beta * E)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValidationError("beta", f"2 cosh(beta E) is past the float range at beta = {beta}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,9 +116,7 @@ def two_level_entropy(n_spins: int, x: float, kB: float = 1.0) -> float:
     which the closed population form is cross-checked.
     """
     _require_positive("kB", kB)
-    _require_int("n_spins", n_spins)
-    if n_spins < 1:
-        raise ValidationError("n_spins", f"must be >= 1, got {n_spins}")
+    _require_int("n_spins", n_spins, 1)
     if math.isnan(x):
         raise ValidationError("x", "must not be NaN")
     if math.isinf(x):
@@ -159,7 +169,7 @@ def energy_moments(ens: SpinEnsemble1D) -> MomentTriple:
     except OverflowError:  # an int factor past the float range
         moments = (math.inf,)
     if not all(map(math.isfinite, moments)):
-        raise ValidationError("E", f"the energy moments of {n} spins overflow at E = {e}")
+        raise ValidationError("E", f"the energy moments overflow at E = {e}")
     return MomentTriple(*moments)
 
 
@@ -237,10 +247,8 @@ def mixing_log_count(n1: int, n2: int) -> float:
     n2 ln(1 + n1/n2) + n1 ln(1 + n2/n1), the Stirling form of ln C(n1+n2, n1).
     Zero when either species is absent.
     """
-    _require_int("n1", n1)
-    _require_int("n2", n2)
-    if n1 < 0 or n2 < 0:
-        raise ValidationError("n1" if n1 < 0 else "n2", "must be >= 0")
+    _require_int("n1", n1, 0)
+    _require_int("n2", n2, 0)
     if n1 == 0 or n2 == 0:
         return 0.0
     try:

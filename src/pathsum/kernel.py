@@ -69,9 +69,7 @@ def _check_sum_args(b: float, m: int, m_name: str, tol: float) -> None:
         raise ValidationError("b", "must not be NaN")
     if b <= 0:
         raise DivergenceError(f"series diverges for b = {b}; need b > 0")
-    _require_int(m_name, m)
-    if m < 1:
-        raise ValidationError(m_name, f"must be >= 1, got {m}")
+    _require_int(m_name, m, 1)
     _require_tol(tol)
 
 
@@ -278,16 +276,12 @@ def threshold_scan(
     if not m_list:
         raise ValidationError("m_values", "must be non-empty")
     for m in m_list:
-        _require_int("m_values", m)
-        if m < 1:
-            raise ValidationError("m_values", f"entries must be >= 1, got {m}")
+        _require_int("m_values", m, 1)
     _require_positive("b_min", b_min)
     _require_positive("b_max", b_max)
     if not b_min < b_max:
         raise ValidationError("b_max", f"need b_min < b_max, got {b_min} >= {b_max}")
-    _require_int("n_points", n_points)
-    if n_points < 2:
-        raise ValidationError("n_points", f"must be >= 2, got {n_points}")
+    _require_int("n_points", n_points, 2)
 
     last = n_points - 1
     # the blend can round an endpoint off by an ulp, so both are taken as given
@@ -386,9 +380,8 @@ def propagator_normalization(
     The window spans half_width_sigmas standard deviations each side, wide
     enough that the omitted Gaussian tails sit far below 1e-9.
     """
-    _require_int("panels", panels)
-    if panels < 2 or panels % 2 != 0:
-        raise ValidationError("panels", f"must be an even integer >= 2, got {panels}")
+    if _require_int("panels", panels, 2) % 2 != 0:
+        raise ValidationError("panels", "must be even")
     _require_positive("half_width_sigmas", half_width_sigmas)
     variance = _variance(params, t)
     half = half_width_sigmas * math.sqrt(variance)

@@ -42,7 +42,7 @@ from .core import (
     _require_tol,
     max_series_terms,
 )
-from .combinatorics import multiplicity_1d
+from .combinatorics import _stirling_remainder
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,9 @@ def probability_1d(m: int, j_max: int | None = None, tol: float = 1e-12) -> Prob
     Includes classes j = 0..J, extending J until the certified tail falls
     below tol relative to the partial normalization (or until j_max).
     """
-    _require_int("m", m)
-    if m < 1:
-        raise ValidationError("m", f"must be >= 1, got {m}")
+    _require_int("m", m, 1)
     if j_max is not None:
-        _require_int("j_max", j_max)
-        if j_max < 0:
-            raise ValidationError("j_max", f"must be >= 0, got {j_max}")
+        _require_int("j_max", j_max, 0)
     _require_tol(tol)
     return _walk(1, m, j_max, tol, 0)
 
@@ -178,16 +174,10 @@ def probability_2d(
     that many diagonals in (so a particular class is guaranteed a row);
     truncated_at is the last full diagonal included.
     """
-    _require_int("m1", m1)
-    if m1 < 1:
-        raise ValidationError("m1", f"must be >= 1, got {m1}")
+    _require_int("m1", m1, 1)
     if max_diagonal is not None:
-        _require_int("max_diagonal", max_diagonal)
-        if max_diagonal < 0:
-            raise ValidationError("max_diagonal", f"must be >= 0, got {max_diagonal}")
-    _require_int("min_diagonal", min_diagonal)
-    if min_diagonal < 0:
-        raise ValidationError("min_diagonal", f"must be >= 0, got {min_diagonal}")
+        _require_int("max_diagonal", max_diagonal, 0)
+    _require_int("min_diagonal", min_diagonal, 0)
     _require_tol(tol)
     return _walk(2, m1, max_diagonal, tol, min_diagonal)
 
@@ -195,17 +185,21 @@ def probability_2d(
 def probability_1d_alt(m: int, j: int) -> float:
     """Alternative weighting: W times per-step rates ((m+j)/N)^(m+j) (j/N)^j.
 
-    Computed in log space; the j = 0 class has probability exactly 1, which
-    already signals that these weights cannot normalize over j.
+    The j = 0 class has probability exactly 1, which already signals that
+    these weights cannot normalize over j. For j >= 1, Stirling's formula
+    for the three factorials in W = N!/((m+j)! j!) cancels every power
+    exactly, leaving sqrt(N/(2 pi (m+j) j)) exp(d(N) - d(m+j) - d(j)) with
+    d the Stirling remainder: nothing cancels in floats, at any size.
     """
     cls = PathClass1D(m, j)
     if j == 0:
         return 1.0
-    n = cls.n_steps
-    log_w = multiplicity_1d(cls).log_value
-    n_up = _as_float("m", cls.n_up)  # then j <= n_up converts too
-    log_p = log_w + n_up * math.log(cls.n_up / n) + j * math.log(j / n)
-    return math.exp(log_p)
+    n, den, d = cls.n_steps, cls.n_up * j, _stirling_remainder
+    # an even shift keeps the int/int quotient N/den a normal float (it is below
+    # 2^-1000 only for j past 10^300); the square root halves it back exactly
+    shift = max(0, den.bit_length() - n.bit_length() - 1000) & ~1
+    root = math.ldexp(math.sqrt((n << shift) / den / (2 * math.pi)), -shift // 2)
+    return root * math.exp(d(n) - d(cls.n_up) - d(j))
 
 
 @dataclass(frozen=True)
@@ -225,14 +219,10 @@ def alt_divergence_probe(m: int, target: float = 1.5, j_cap: int = 10**4) -> Alt
     certifies divergence. The terms decay only like 1/sqrt(N), so the sum
     grows without bound.
     """
-    _require_int("m", m)
-    if m < 1:
-        raise ValidationError("m", f"must be >= 1, got {m}")
+    _require_int("m", m, 1)
     if not (target > 1):
         raise ValidationError("target", f"must be > 1, got {target!r}")
-    _require_int("j_cap", j_cap)
-    if j_cap < 0:
-        raise ValidationError("j_cap", f"must be >= 0, got {j_cap}")
+    _require_int("j_cap", j_cap, 0)
 
     total = 0.0
     for j in range(j_cap + 1):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,19 @@ class TestPaths:
         assert code == 3
         assert "cap" in err.lower()
 
+    # The flip DP alone takes from seconds to a minute on these
+    @pytest.mark.parametrize("dim,net,total", [
+        ("2", "1,0", "201"), ("3", "1,0,0", "51"), ("3", "1,0,0", "81"),
+    ])
+    def test_cap_is_checked_before_any_enumeration(self, capsys, dim, net, total):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["paths", "--dim", dim, "--net", net, "--total", total, "--cap", "10"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "more than 10 sequences" in err
+
     @pytest.mark.parametrize("dim,net,total", [
         ("1", "0", "4"), ("2", "0,1", "3"), ("2", "0,0", "4"),
         ("3", "0,0,1", "3"), ("3", "2,1,1", "6"), ("3", "0,2,0", "4"),
@@ -276,6 +290,14 @@ class TestProb2D:
         assert payload["reference_percent"] == 0.03
         # comparison is reported, agreement is not claimed
         assert payload["ratio_vs_reference"] == pytest.approx(32.612300515578375, rel=1e-6)
+
+    @pytest.mark.parametrize("reference", ["0", "nan", "inf", "-5", "1e-320"])
+    def test_bad_reference_exits_2(self, capsys, reference):
+        code, out, err = run_cli(
+            capsys, ["prob2d", "--m1", "1", "--j", "0", "--k", "0", "--reference-pct", reference]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid argument (reference_pct: ")
 
     def test_runs_are_reproducible(self, capsys):
         argv = ["prob2d", "--m1", "1", "--j", "1", "--k", "1", "--digits", "17"]

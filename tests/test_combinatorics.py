@@ -389,6 +389,21 @@ class TestEnumeratePaths:
         with pytest.raises(EnumerationCapError):
             enumerate_paths(2, (2, 2), 4, cap=5)
 
+    @pytest.mark.parametrize("dimension, net, total", [
+        (1, (2,), 6), (2, (1, 0), 5), (2, (0, 0), 4), (3, (1, 0, 0), 5), (3, (0, 1, 1), 4),
+    ])
+    def test_cap_is_exactly_the_walk_count(self, dimension, net, total):
+        count = sum(count_paths_by_flips(dimension, net, total).values())
+        assert len(enumerate_paths(dimension, net, total, cap=count)) == count
+        with pytest.raises(EnumerationCapError, match=f"^more than {count - 1} sequences$"):
+            enumerate_paths(dimension, net, total, cap=count - 1)
+
+    # One class alone has far more walks than memory holds: it is never formed.
+    @pytest.mark.parametrize("dimension, net", [(1, (1,)), (3, (1, 0, 0))])
+    def test_cap_rejects_huge_walk_counts_from_their_log(self, dimension, net):
+        with pytest.raises(EnumerationCapError, match="^more than 10 sequences$"):
+            enumerate_paths(dimension, net, 10**12 + 1, cap=10)
+
     def test_step_text_uses_axis_names(self):
         seqs = enumerate_paths(3, (1, 0, 0), 1)
         assert seqs[0].to_text() == "+x"

@@ -1,9 +1,12 @@
+import argparse
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import pathsum
+from pathsum import cli
 from pathsum import (
     BigCount,
     DeBroglieCheck,
@@ -176,10 +179,12 @@ class TestSeriesCap:
 
 
 # Ints past the float range that a function would convert to form its float
-# result: it names the argument instead of raising OverflowError.
+# result: it names the argument instead of raising OverflowError. The
+# probability_1d_alt slot holds a huge negative m, which is rejected instead
+# of failing to print; its old case, now finite, is a value test in test_stats.
 @pytest.mark.parametrize("function, args, name", [
     ("entropy_rate", (PathClass1D(10**400, 10),), "m"),
-    ("probability_1d_alt", (10**400, 10), "m"),
+    ("probability_1d_alt", (-10**5000, 10), "m"),
     ("moments_1d", (PathClass1D(10**400, 10), 0.0), "m"),
     ("moments_1d", (PathClass1D(10**200, 0), 1.0), "m"),  # N^2 alone overflows
     ("moments_1d", (PathClass1D(1, 10**400), 0.0), "j"),
@@ -193,3 +198,93 @@ def test_huge_ints_raise_validation_error(function, args, name):
 def test_exact_moments_of_huge_classes_stay_exact():
     moments = pathsum.moments_1d(PathClass1D(10**400, 10), 1)
     assert (moments.mean, moments.variance) == (10**400, 40 * (10**400 + 10))
+
+
+def _cli_namespace(**fields):
+    defaults = dict(dim=1, m=1, m1=1, m2=None, j=0, k=0, l=None, kb=1.0, reference_pct=None)
+    return argparse.Namespace(**{**defaults, **fields})
+
+
+# One call per integer bound check: (call of the value, argument name, minimum).
+_BOUND_CHECKS = {
+    "PathClass1D-m": (lambda v: PathClass1D(v, 0), "m", 1),
+    "PathClass1D-j": (lambda v: PathClass1D(1, v), "j", 0),
+    "PathClassND-m1": (lambda v: PathClassND(v, 0, 0), "m1", 1),
+    "PathClassND-j": (lambda v: PathClassND(1, v, 0), "j", 0),
+    "PathClassND-k": (lambda v: PathClassND(1, 0, v), "k", 0),
+    "PathClassND-l": (lambda v: PathClassND(1, 0, 0, v), "l", 0),
+    "BigCount": (lambda v: BigCount(0.0, v), "exact", 1),
+    "BigCount.from_exact": (lambda v: BigCount.from_exact(v), "exact", 1),
+    "multiplicity-net": (lambda v: pathsum.multiplicity((v,), (0,)), "net", 0),
+    "multiplicity-backward": (lambda v: pathsum.multiplicity((1,), (v,)), "backward", 0),
+    "multiplicity_2d_full-m1": (lambda v: pathsum.multiplicity_2d_full(v, 0, 0, 0), "m1", 1),
+    "multiplicity_2d_full-m2": (lambda v: pathsum.multiplicity_2d_full(1, v, 0, 0), "m2", 0),
+    "multiplicity_2d_full-j": (lambda v: pathsum.multiplicity_2d_full(1, 0, v, 0), "j", 0),
+    "multiplicity_2d_full-k": (lambda v: pathsum.multiplicity_2d_full(1, 0, 0, v), "k", 0),
+    "minimum_distance_count-m1": (lambda v: pathsum.minimum_distance_count(v, 1), "m1", 0),
+    "minimum_distance_count-m2": (lambda v: pathsum.minimum_distance_count(1, v), "m2", 0),
+    "count_paths_by_flips-net": (lambda v: pathsum.count_paths_by_flips(1, (v,), 3), "net", 0),
+    "enumerate_paths-cap": (lambda v: pathsum.enumerate_paths(1, (1,), 3, cap=v), "cap", 1),
+    "probability_1d-m": (lambda v: pathsum.probability_1d(v), "m", 1),
+    "probability_1d-j_max": (lambda v: pathsum.probability_1d(1, j_max=v), "j_max", 0),
+    "probability_2d-m1": (lambda v: pathsum.probability_2d(v), "m1", 1),
+    "probability_2d-max_diagonal": (
+        lambda v: pathsum.probability_2d(1, max_diagonal=v), "max_diagonal", 0
+    ),
+    "probability_2d-min_diagonal": (
+        lambda v: pathsum.probability_2d(1, min_diagonal=v), "min_diagonal", 0
+    ),
+    "alt_divergence_probe-m": (lambda v: pathsum.alt_divergence_probe(v), "m", 1),
+    "alt_divergence_probe-j_cap": (lambda v: pathsum.alt_divergence_probe(1, j_cap=v), "j_cap", 0),
+    "kernel_sum_1d-m": (lambda v: pathsum.kernel_sum_1d(0.5, v), "m", 1),
+    "kernel_sum_2d-m1": (lambda v: pathsum.kernel_sum_2d(0.5, v), "m1", 1),
+    "threshold_scan-m_values": (lambda v: pathsum.threshold_scan([v], 0.1, 0.2, 2), "m_values", 1),
+    "threshold_scan-n_points": (lambda v: pathsum.threshold_scan([1], 0.1, 0.2, v), "n_points", 2),
+    "propagator_normalization-panels": (
+        lambda v: pathsum.propagator_normalization(PhysicalParams(1.0, 1.0, 1.0, 1.0), 1.0, v),
+        "panels",
+        2,
+    ),
+    "two_level_entropy-n_spins": (lambda v: pathsum.two_level_entropy(v, 0.3), "n_spins", 1),
+    "mixing_log_count-n1": (lambda v: pathsum.mixing_log_count(v, 1), "n1", 0),
+    "mixing_log_count-n2": (lambda v: pathsum.mixing_log_count(1, v), "n2", 0),
+    "cli-multiplicity-m": (lambda v: cli.cmd_multiplicity(_cli_namespace(m=v)), "m", 1),
+    "cli-multiplicity-m1": (
+        lambda v: cli.cmd_multiplicity(_cli_namespace(dim=2, m1=v)), "m1", 1
+    ),
+    "cli-prob2d-j": (lambda v: cli.cmd_prob2d(_cli_namespace(j=v)), "j", 0),
+    "cli-prob2d-k": (lambda v: cli.cmd_prob2d(_cli_namespace(k=v)), "k", 0),
+}
+
+
+@pytest.mark.parametrize("site", _BOUND_CHECKS)
+def test_integer_below_minimum_has_one_message(site):
+    call, name, minimum = _BOUND_CHECKS[site]
+    with pytest.raises(ValidationError) as info:
+        call(minimum - 1)
+    assert info.value.field_name == name
+    assert str(info.value) == f"{name}: must be >= {minimum}, got {minimum - 1}"
+
+
+@pytest.mark.parametrize("site", _BOUND_CHECKS)
+def test_bool_is_not_an_integer(site):
+    call, name, _ = _BOUND_CHECKS[site]
+    with pytest.raises(ValidationError) as info:
+        call(True)
+    assert str(info.value) == f"{name}: must be an integer, got True"
+
+
+# Too many digits for str() under the default int -> str limit (Python 3.11+).
+_HUGE = -10**5000
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("site", _BOUND_CHECKS)
+def test_huge_negative_int_is_described_by_bit_length(site):
+    call, name, minimum = _BOUND_CHECKS[site]
+    with pytest.raises(ValidationError) as info:
+        call(_HUGE)
+    assert info.value.field_name == name
+    if 0 < _DIGIT_LIMIT < 5000:
+        expected = f"{name}: must be >= {minimum}, got a 16610-bit negative integer"
+        assert str(info.value) == expected

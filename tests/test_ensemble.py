@@ -219,6 +219,15 @@ class TestPartition:
     def test_infinite_beta_gives_infinite_partition(self):
         assert partition_1d(math.inf, 1.0) == math.inf
 
+    # cosh overflows past beta E = 710.48, 2 cosh already past 709.79
+    @pytest.mark.parametrize("beta", [-math.inf, 1e300, -1e300, 710.0, -710.0])
+    def test_overflowing_partition_names_beta(self, beta):
+        with pytest.raises(ValidationError, match="^beta: "):
+            partition_1d(beta, 1.0)
+
+    def test_largest_finite_partition(self):
+        assert partition_1d(709.0, 1.0) == 2.0 * math.cosh(709.0)
+
     def test_two_species_product(self):
         assert partition_2d(0.5, 1.0, 0.0, 2.0) == pytest.approx(
             partition_1d(0.5, 1.0) * 2.0, rel=1e-15

@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -352,6 +353,22 @@ class TestAlternativeWeighting:
         for j, target in enumerate(expected):
             total += probability_1d_alt(2, j)
             assert total == pytest.approx(target, rel=1e-12)
+
+    # The (m, j) where the log-space form cancelled, overflowed or saturated,
+    # and the class 10**400 steps out, which once raised ValidationError("m").
+    @pytest.mark.parametrize("m, j", [
+        (10**12, 10**11), (10**16, 10**15), (10**20, 10**18), (7, 10**300),
+        (10**300 + 3, 10**300 + 5), (10**400, 10), (10, 10**400), (3, 7), (1000, 1),
+    ])
+    def test_huge_classes_match_mpmath(self, m, j):
+        n, up = m + 2 * j, m + j
+        with mp.workdps(40 + 2 * len(str(max(m, j)))):
+            log_p = (
+                mp.loggamma(n + 1) - mp.loggamma(up + 1) - mp.loggamma(j + 1)
+                + up * mp.log(mp.mpf(up) / n) + j * mp.log(mp.mpf(j) / n)
+            )
+            want = float(mp.exp(log_p))
+        assert probability_1d_alt(m, j) == pytest.approx(want, rel=1e-14)
 
     def test_probe_crosses_quickly_for_m2(self):
         probe = alt_divergence_probe(2, target=1.5, j_cap=10**4)
