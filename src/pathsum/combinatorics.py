@@ -49,6 +49,23 @@ def _stirling_remainder(n: int) -> float:
     return x * (1 / 12 - xx * (1 / 360 - xx * (1 / 1260 - xx * (1 / 1680 - xx / 1188))))
 
 
+def _stirling_gap(up: int, down: int) -> tuple[float, int, float]:
+    """ln W - mixing_log_count(up, down), W = N!/(up! down!), N = up + down, down >= 1.
+
+    Stirling's formula cancels every power in it, leaving
+    ln sqrt(N/(2 pi up down)) + d(N) - d(up) - d(down), d the Stirling
+    remainder, where nothing cancels in floats. It comes in parts
+    (q, shift, rest), worth (ln q - shift ln 2)/2 + rest: q is
+    N 2^shift/(2 pi up down), kept a normal float by an even shift
+    (nonzero only for down past 10^300).
+    """
+    n, den = up + down, up * down
+    shift = max(0, den.bit_length() - n.bit_length() - 1000) & ~1
+    q = (n << shift) / den / (2 * math.pi)  # int / int is correctly rounded
+    d = _stirling_remainder
+    return q, shift, d(n) - d(up) - d(down)
+
+
 def _log_multinomial(total: int, parts: tuple[int, ...]) -> float:
     """ln(total! / prod(part!)) by Stirling's formula with its remainder.
 
@@ -290,25 +307,33 @@ def enumerate_paths(
             if count > cap:
                 raise EnumerationCapError(f"more than {cap} sequences")
 
+    if total_steps == 0:
+        return [StepSequence(())]  # net is zero: the empty walk alone
     moves = [(axis, sign) for axis in range(dimension) for sign in (+1, -1)]
     out: list[StepSequence] = []
     prefix: list[tuple[int, int]] = []
-    position = [0] * dimension
-
-    def walk(remaining: int) -> None:
-        if remaining == 0:
-            if all(position[a] == net[a] for a in range(dimension)):
+    gap = list(net)  # displacement still to go, per axis
+    # Depth first with an explicit stack, so a long walk needs no deep
+    # recursion. Per open step, it holds the index of the next move to try.
+    stack = [0]
+    while stack:
+        index = stack.pop()
+        if index:  # back from moves[index - 1]
+            axis, sign = prefix.pop()
+            gap[axis] += sign
+        left = total_steps - len(prefix) - 1  # steps left after the next move
+        while index < len(moves):
+            move = moves[index]
+            index += 1
+            axis, sign = move
+            gap[axis] -= sign
+            # a move is taken only if the target stays in reach
+            if sum(map(abs, gap)) <= left:
+                prefix.append(move)
+                if left:
+                    stack += (index, 0)
+                    break
                 out.append(StepSequence(tuple(prefix)))
-            return
-        # too far from the target to get back in time
-        if sum(abs(net[a] - position[a]) for a in range(dimension)) > remaining:
-            return
-        for axis, sign in moves:
-            position[axis] += sign
-            prefix.append((axis, sign))
-            walk(remaining - 1)
-            prefix.pop()
-            position[axis] -= sign
-
-    walk(total_steps)
+                prefix.pop()
+            gap[axis] += sign
     return out

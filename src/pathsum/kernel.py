@@ -33,6 +33,7 @@ from .core import (
     DivergenceError,
     PathClass1D,
     PhysicalParams,
+    ResourceCapError,
     SeriesCapError,
     SumResult,
     ValidationError,
@@ -256,7 +257,14 @@ class KernelScanRow:
 
     @property
     def bm(self) -> float:
-        return _times(self.b, self.m)
+        """b*m correctly rounded, or inf past the float range."""
+        if self.m <= 1 << 53:  # m converts to a float exactly
+            return self.b * self.m
+        num, den = self.b.as_integer_ratio()
+        try:
+            return num * self.m / den  # int / int rounds once
+        except OverflowError:
+            return math.inf
 
 
 def threshold_scan(
@@ -282,11 +290,21 @@ def threshold_scan(
     if not b_min < b_max:
         raise ValidationError("b_max", f"need b_min < b_max, got {b_min} >= {b_max}")
     _require_int("n_points", n_points, 2)
+    cap = max_series_terms()
+    if len(m_list) * n_points > cap:  # checked before any grid point is formed
+        raise ResourceCapError(
+            f"threshold_scan: len(m_values) * n_points rows exceed the {cap}-row cap"
+        )
 
     last = n_points - 1
     # the blend can round an endpoint off by an ulp, so both are taken as given
-    interior = ((b_min * (last - i) + b_max * i) / last for i in range(1, last))
-    grid = [b_min, *interior, b_max]
+    grid = [b_min]
+    for i in range(1, last):
+        b = (b_min * (last - i) + b_max * i) / last
+        if b == math.inf:  # b_max * i overflowed; this form stays in range
+            b = b_min + (b_max - b_min) * (i / last)
+        grid.append(b)
+    grid.append(b_max)
     rows = []
     for m in m_list:
         for b in grid:

@@ -42,7 +42,7 @@ from .core import (
     _require_tol,
     max_series_terms,
 )
-from .combinatorics import _stirling_remainder
+from .combinatorics import _stirling_gap
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,9 @@ def probability_1d_alt(m: int, j: int) -> float:
     cls = PathClass1D(m, j)
     if j == 0:
         return 1.0
-    n, den, d = cls.n_steps, cls.n_up * j, _stirling_remainder
-    # an even shift keeps the int/int quotient N/den a normal float (it is below
-    # 2^-1000 only for j past 10^300); the square root halves it back exactly
-    shift = max(0, den.bit_length() - n.bit_length() - 1000) & ~1
-    root = math.ldexp(math.sqrt((n << shift) / den / (2 * math.pi)), -shift // 2)
-    return root * math.exp(d(n) - d(cls.n_up) - d(j))
+    q, shift, rest = _stirling_gap(cls.n_up, j)
+    # the square root halves the even shift back exactly
+    return math.ldexp(math.sqrt(q), -shift // 2) * math.exp(rest)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 
+import mpmath as mp
 import pytest
 
 import pathsum
@@ -101,6 +103,24 @@ class TestScan:
         payload = json.loads(out)
         assert len(payload["rows"]) == 6
         assert set(payload["rows"][0]) == {"m", "b", "bm", "sum", "limit", "ratio"}
+
+    def test_grid_past_the_row_cap_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["scan", "--points", "10000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "row cap" in err
+
+    def test_grid_up_to_the_float_limit_stays_finite(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["scan", "--m-list", "3", "--b-min", "1e-3", "--b-max", "1.7e308",
+                     "--points", "4", "--format", "json"]
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        # JSON carries a non-finite float as a string
+        assert all(isinstance(row["b"], float) and row["ratio"] == 1.0 for row in rows[1:])
+        assert [row["bm"] for row in rows] == [0.003, 1.7e308, "inf", "inf"]
 
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["scan", "--b-min", "-1", "--b-max", "1"])
@@ -216,6 +236,14 @@ class TestPaths:
         assert code == 0
         assert out.startswith("count=")
 
+    def test_walk_past_the_exact_limit(self, capsys):
+        # 3000 steps deep, and the closed form keeps only the log count there
+        code, out, err = run_cli(
+            capsys, ["paths", "--dim", "1", "--net", "3000", "--total", "3000"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["count=1", "class j=0: 1", " ".join(["+x"] * 3000)]
+
     def test_count_mismatch_exits_1(self, capsys, monkeypatch):
         from pathsum import BigCount, combinatorics
 
@@ -264,6 +292,42 @@ class TestEnsembleReport:
         payload = json.loads(out)
         assert payload["entropy"] == pytest.approx(1.380649e-23 * 2.2493405784752336,
                                                    rel=1e-12)
+
+
+def _mp_stirling_difference(m, j):
+    """|S/kB - ln W| / ln W at the digits of N plus 30."""
+    n = m + 2 * j
+    with mp.workdps(len(str(n)) + 30):
+        up, down, total = mp.mpf(m + j), mp.mpf(j), mp.mpf(n)
+        log_w = mp.loggamma(total + 1) - mp.loggamma(up + 1) - mp.loggamma(down + 1)
+        mixing = up * mp.log(total / up) + down * mp.log(total / down)
+        return float(abs(mixing - log_w) / log_w)
+
+
+def _seeded_classes(seed, count):
+    rng = random.Random(seed)
+    classes = []
+    while len(classes) < count:
+        n = int(10 ** rng.uniform(3.31, 17.5))
+        m, j = rng.randint(1, n), rng.randint(1, n)
+        if m + 2 * j > 2000:
+            classes.append((m, j))
+    return classes
+
+
+class TestStirlingDifference:
+    # the difference of two terms of size N lost every digit at (10^17, 10^17)
+    @pytest.mark.parametrize("m,j", [
+        (2, 1), (400, 2000), (10**12, 10**12), (10**15, 3 * 10**15), (5, 10**16),
+        (10**17, 10**17), *_seeded_classes(18, 30),
+    ], ids=lambda n: f"{n:.3g}")
+    def test_matches_mpmath(self, capsys, m, j):
+        code, out, _ = run_cli(
+            capsys, ["ensemble", "--m", str(m), "--j", str(j), "--kb", "1", "--format", "json"]
+        )
+        assert code == 0
+        got = json.loads(out)["stirling_relative_difference"]
+        assert got == pytest.approx(_mp_stirling_difference(m, j), rel=1e-14, abs=0)
 
 
 class TestProb2D:
@@ -512,6 +576,10 @@ PARSE_EXITS = [
     ["ensemble", "--m", "3"], ["ensemble", "--m", "3", "--j", "1", "--E", "x"],
     ["prob2d"], ["prob2d", "--m1", "1", "--j", "0"], ["validate", "--scope", "nope"],
     ["validate", "extra"], ["validate", "--format", "csv"],
+    # a named subcommand, then an error reported in the top-level usage
+    ["probs", "--m-list", "2", "scan"],
+    ["paths", "--dim", "1", "--net", "1", "--total", "1", "extra"],
+    ["validate", "--scope", "all", "--bogus"],
     *([command, "--help"] for command in _SUBCOMMANDS),
 ]
 
@@ -609,6 +677,10 @@ def reference_parser():
     return parser
 
 
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
 def _parse(parser, argv):
     return _captured(lambda: vars(parser.parse_args(argv)))
 
@@ -616,12 +688,13 @@ def _parse(parser, argv):
 class TestParserBuiltForArgv:
     @pytest.mark.parametrize("command", _SUBCOMMANDS)
     def test_only_the_named_subcommand_gets_arguments(self, command):
-        parser = build_parser([command, "--help"])
-        (subcommands,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        for name, sub in subcommands.choices.items():
-            assert (len(sub._actions) > 1) == (name == command), name
+        (subcommands,) = _subparsers(build_parser([command, "--help"]))
+        assert list(subcommands.choices) == [command]
+        (full,) = _subparsers(build_parser())
+        assert list(full.choices) == list(_SUBCOMMANDS)
+        # every subcommand in full: -h plus its own and the three common arguments
+        for name, sub in full.choices.items():
+            assert len(sub._actions) == 1 + len(_SUBCOMMANDS[name][2]) + 3, name
 
     @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "-")
     def test_parse_exits_match_the_reference(self, argv):

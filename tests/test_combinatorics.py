@@ -390,6 +390,23 @@ class TestEnumeratePaths:
             enumerate_paths(2, (2, 2), 4, cap=5)
 
     @pytest.mark.parametrize("dimension, net, total", [
+        (1, (0,), 0), (1, (2,), 6), (2, (1, 0), 5), (2, (0, 0), 4), (3, (1, 0, 0), 5),
+        (3, (0, 1, 1), 4),
+    ])
+    def test_order_is_that_of_every_move_sequence(self, dimension, net, total):
+        moves = [(axis, sign) for axis in range(dimension) for sign in (+1, -1)]
+        arriving = [
+            steps for steps in itertools.product(moves, repeat=total)
+            if all(sum(s for a, s in steps if a == axis) == net[axis] for axis in range(dimension))
+        ]
+        assert [seq.steps for seq in enumerate_paths(dimension, net, total)] == arriving
+
+    def test_long_walks_need_no_deep_recursion(self):
+        # a walk one call deep per step raised RecursionError near 1000 steps
+        (seq,) = enumerate_paths(1, (3000,), 3000)
+        assert seq.steps == ((0, 1),) * 3000
+
+    @pytest.mark.parametrize("dimension, net, total", [
         (1, (2,), 6), (2, (1, 0), 5), (2, (0, 0), 4), (3, (1, 0, 0), 5), (3, (0, 1, 1), 4),
     ])
     def test_cap_is_exactly_the_walk_count(self, dimension, net, total):

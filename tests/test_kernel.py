@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from pathsum import (
     DivergenceError,
     PathClass1D,
     PhysicalParams,
+    ResourceCapError,
     SeriesCapError,
     ValidationError,
     action_1d,
@@ -451,6 +453,37 @@ class TestThresholdScan:
         result = kernel_sum_1d(b, m)
         ratio = result.value / math.exp(-b * (m * m))
         assert ratio == pytest.approx(expected, rel=1e-12)
+
+    def test_grid_past_the_row_cap_is_rejected_before_it_is_formed(self, monkeypatch):
+        start = time.perf_counter()
+        for m_values, n_points in (([1], 10**400), ([3], 10**7), ([1, 2], 500_001)):
+            with pytest.raises(ResourceCapError, match="row cap"):
+                threshold_scan(m_values, 1e-3, 1e-2, n_points)
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setenv("PATHSUM_MAX_TERMS", "6")
+        assert len(threshold_scan([1, 2], 5.0, 6.0, 3)) == 6
+        with pytest.raises(ResourceCapError, match="the 6-row cap"):
+            threshold_scan([1, 2], 5.0, 6.0, 4)
+
+    def test_grid_up_to_the_float_limit_stays_finite(self):
+        b_min, b_max = 1e-3, 1.7e308
+        grid = [row.b for row in threshold_scan([3], b_min, b_max, 4)]
+        assert (grid[0], grid[-1]) == (b_min, b_max)
+        # a blend still finite keeps its bits; where b_max * 2 overflows, the
+        # point is within two ulps of the exact blend
+        assert grid[1] == (b_min * 2 + b_max) / 3
+        exact = (Fraction(b_min) + Fraction(b_max) * 2) / 3
+        assert abs(Fraction(grid[2]) - exact) <= 2 * math.ulp(grid[2])
+        assert grid == sorted(grid)
+
+    @pytest.mark.parametrize("m", [3, 2**53 + 1, 10**20 + 1, 10**160, 10**400])
+    @pytest.mark.parametrize("b", [0.1, 1.0 + 2**-52, 1e200])
+    def test_bm_is_correctly_rounded(self, b, m):
+        try:
+            want = float(Fraction(b) * m)
+        except OverflowError:
+            want = math.inf
+        assert kernel.KernelScanRow(m, b, 0.0, 0.0, 1.0, 1).bm == want
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValidationError, match="b_m"):
